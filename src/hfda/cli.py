@@ -23,10 +23,11 @@ import sys
 from pathlib import Path
 
 from . import harness, observe
-from .harness import ExperimentConfig
+from .harness import SOLVER_NAMES, THETA0_POLICIES, ExperimentConfig
 from .modify import SCHEME_KINDS
-from .optimize import StepSchedule, run_gauss_newton, run_gd, run_ksgd, run_sgd
-from .stochastic import Sampler
+from .observe import DERIVATIVE_MODES
+from .optimize import KSGD_FORMS, SCHEDULE_KINDS
+from .stochastic import SAMPLER_KINDS
 
 
 def _to_bool(raw: str) -> bool:
@@ -50,6 +51,30 @@ def _to_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip())
 
 
+def _choice(options: tuple[str, ...]):
+    """Converter accepting exactly one of ``options``."""
+
+    def convert(raw: str) -> str:
+        value = raw.strip()
+        if value not in options:
+            raise ValueError(f"expected one of {', '.join(options)}, got {value!r}")
+        return value
+
+    return convert
+
+
+def _positive(convert):
+    """``convert`` that also rejects values <= 0 (None passes through)."""
+
+    def checked(raw: str):
+        value = convert(raw)
+        if value is not None and not value > 0:
+            raise ValueError(f"must be positive, got {raw.strip()!r}")
+        return value
+
+    return checked
+
+
 # (section, key) -> (ExperimentConfig attribute, converter)
 _SCHEMA = {
     ("experiment", "model"): ("model", str),
@@ -57,7 +82,7 @@ _SCHEMA = {
     ("experiment", "seed"): ("seed", int),
     ("experiment", "output_dir"): ("output_dir", str),
     ("experiment", "estimate_x0"): ("estimate_x0", _to_bool),
-    ("experiment", "mode"): ("mode", str),
+    ("experiment", "mode"): ("mode", _choice(DERIVATIVE_MODES)),
     ("observation", "period"): ("obs_period", float),
     ("observation", "sigma"): ("obs_sigma", float),
     ("observation", "seed"): ("obs_seed", int),
@@ -65,21 +90,21 @@ _SCHEMA = {
     ("modify", "potp"): ("modify_potp", float),
     ("modify", "seed"): ("modify_seed", int),
     ("modify", "reweight"): ("modify_reweight", _to_bool),
-    ("solver", "name"): ("solver_name", str),
-    ("solver", "schedule"): ("solver_schedule", str),
-    ("solver", "eta0"): ("solver_eta0", _to_optional_float),
+    ("solver", "name"): ("solver_name", _choice(SOLVER_NAMES)),
+    ("solver", "schedule"): ("solver_schedule", _choice(SCHEDULE_KINDS)),
+    ("solver", "eta0"): ("solver_eta0", _positive(_to_optional_float)),
     ("solver", "k0"): ("solver_k0", float),
     ("solver", "alpha"): ("solver_alpha", float),
     ("solver", "damping"): ("solver_damping", _to_optional_float),
-    ("solver", "sampler"): ("solver_sampler", str),
-    ("solver", "kappa"): ("solver_kappa", _to_optional_int),
-    ("solver", "form"): ("solver_form", str),
+    ("solver", "sampler"): ("solver_sampler", _choice(SAMPLER_KINDS)),
+    ("solver", "kappa"): ("solver_kappa", _positive(_to_optional_int)),
+    ("solver", "form"): ("solver_form", _choice(KSGD_FORMS)),
     ("solver", "budget"): ("solver_budget", float),
     ("solver", "max_iter"): ("solver_max_iter", int),
     ("solver", "gtol"): ("solver_gtol", float),
     ("solver", "seed"): ("solver_seed", int),
     ("solver", "record_every"): ("solver_record_every", int),
-    ("solver", "theta0"): ("theta0_policy", str),
+    ("solver", "theta0"): ("theta0_policy", _choice(THETA0_POLICIES)),
     ("solver", "theta0_scale"): ("theta0_scale", float),
     ("solver", "theta0_seed"): ("theta0_seed", int),
     ("solver", "theta0_values"): ("theta0_values", _to_floats),
@@ -215,57 +240,17 @@ def cmd_solve(config: ExperimentConfig) -> int:
     theta0 = harness.resolve_theta0(config, model)
 
     name = config.solver_name
-    kappa = config.solver_kappa or max(1, harness.round_half_away(1.0 / config.modify_potp))
-    kappa = min(kappa, len(prob_run.data))  # a thinned problem shortens the stride
-    defaults = harness.MODEL_DEFAULTS.get(config.model, {})
-    if name == "gd":
-        eta0 = config.solver_eta0 or defaults.get("gd_eta0", 1e-7)
-        eta0 = eta0 * len(data) / len(prob_run.data)
-        trace = run_gd(
-            prob_run,
-            theta0,
-            StepSchedule(config.solver_schedule, eta0, config.solver_k0, config.solver_alpha),
-            budget=config.solver_budget,
-            max_iter=config.solver_max_iter,
-            gtol=config.solver_gtol,
-            record_every=config.solver_record_every,
-        )
-    elif name == "sgd":
-        eta0 = config.solver_eta0 or defaults.get("sgd_eta0", 1e-7)
-        trace = run_sgd(
-            prob_run,
-            theta0,
-            StepSchedule(config.solver_schedule, eta0, config.solver_k0, config.solver_alpha),
-            _make_sampler(config, len(prob_run.data), kappa),
-            budget=config.solver_budget,
-            max_iter=config.solver_max_iter,
-            seed=config.stream("sgd", config.solver_seed),
-            record_every=config.solver_record_every,
-        )
-    elif name == "gn":
-        trace = run_gauss_newton(
-            prob_run,
-            theta0,
-            damping=config.solver_damping,
-            budget=config.solver_budget,
-            max_iter=config.solver_max_iter,
-            gtol=config.solver_gtol,
-            record_every=config.solver_record_every,
-        )
-    elif name == "ksgd":
-        trace = run_ksgd(
-            prob_run,
-            theta0,
-            _make_sampler(config, len(prob_run.data), kappa),
-            form=config.solver_form,
-            budget=config.solver_budget,
-            max_iter=config.solver_max_iter,
-            seed=config.stream("ksgd", config.solver_seed),
-            record_every=config.solver_record_every,
-        )
-    else:
-        raise ConfigError(f"unknown solver {name!r} (gd, gn, sgd, ksgd)")
-
+    trace, hyper = harness.run_solver(
+        config,
+        name,
+        prob_run,
+        theta0,
+        n_full=len(data),
+        potp=config.modify_potp,
+        budget=config.solver_budget,
+        max_iter=config.solver_max_iter,
+        record_every=config.solver_record_every,
+    )
     times, errors = harness.replay_trace(trace, problem, theta_hat)
     label = f"{name}_{config.modify_scheme}"
     run = harness.RaceRun(
@@ -276,6 +261,7 @@ def cmd_solve(config: ExperimentConfig) -> int:
         times=times,
         errors=errors,
         dropped_records=len(trace) - len(times),
+        hyper=hyper,
     )
     csv_path = out / f"{config.model}_{label}.csv"
     harness.write_trace_csv(run, csv_path)
@@ -288,13 +274,6 @@ def cmd_solve(config: ExperimentConfig) -> int:
     return 0
 
 
-def _make_sampler(config: ExperimentConfig, n_obs: int, kappa: int) -> Sampler:
-    kind = config.solver_sampler
-    if kind == "simple":
-        return Sampler("simple", m=max(1, harness.round_half_away(n_obs / kappa)))
-    return Sampler(kind, kappa=kappa)
-
-
 def cmd_check(config: ExperimentConfig) -> int:
     results = harness.run_checks(config)
     for result in results:
@@ -302,15 +281,16 @@ def cmd_check(config: ExperimentConfig) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_table1(config: ExperimentConfig, jobs: int = 1) -> int:
-    report = harness.run_table1_study(config, jobs=jobs)
+def cmd_table1(config: ExperimentConfig) -> int:
+    report = harness.run_table1_study(config)
     print(f"reference objective: {report.reference_objective:.6e}")
     print(f"{'scheme':<20} {'potp':>6} {'relative_error':>16}")
     for row in report.rows:
         print(f"{row.scheme:<20} {row.potp:>6g} {row.relative_error:>16.6e} {row.status}")
     out = Path(config.output_dir) / f"{config.model}_relative_error.csv"
     print(f"table1: wrote {out}")
-    return 0 if all(r.status == "ok" for r in report.rows) else 1
+    # rows rescued by a larger damping ("ok(damping_rel=...)") are successes
+    return 1 if any(r.status == "failed" for r in report.rows) else 0
 
 
 def cmd_race(config: ExperimentConfig) -> int:
@@ -368,13 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a config key (repeatable)",
         )
         p.add_argument("--output-dir", default=None, help="override the output directory")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker pool size for independent fits; default serial "
-            "(the budget race always runs serially for timing fidelity)",
-        )
         if name == "modify":
             p.add_argument("--modify", dest="scheme", choices=SCHEME_KINDS, default=None)
             p.add_argument("--potp", type=float, default=None)
@@ -394,10 +367,6 @@ def main(argv: list[str] | None = None) -> int:
             config.modify_potp = args.potp
         if getattr(args, "seed", None) is not None:
             config.modify_seed = args.seed
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be at least 1")
-        if args.command == "table1":
-            return cmd_table1(config, jobs=args.jobs)
         return _COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

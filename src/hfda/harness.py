@@ -42,6 +42,7 @@ from .optimize import (
     KsgdState,
     Problem,
     RunTrace,
+    SolverError,
     StepSchedule,
     ksgd_step,
     run_gauss_newton,
@@ -92,6 +93,10 @@ MODEL_DEFAULTS = {
 }
 
 
+SOLVER_NAMES = ("gd", "gn", "sgd", "ksgd")
+THETA0_POLICIES = ("perturbed", "reference", "explicit")
+
+
 def derive_seed(base_seed: int, label: str) -> int:
     """A named 64-bit substream seed: SeedSequence((base, crc32(label)))."""
     ss = np.random.SeedSequence((int(base_seed), zlib.crc32(label.encode())))
@@ -113,12 +118,13 @@ class ExperimentConfig:
     obs_period: float | None = None
     obs_sigma: float | None = None
     obs_seed: int | None = None
-    # single-scheme modification (cmd_modify / cmd_solve)
+    # single-scheme modification (modify / solve subcommands)
     modify_scheme: str = "none"
     modify_potp: float = 0.01
     modify_seed: int | None = None
     modify_reweight: bool = False
-    # single-solver settings (cmd_solve)
+    # solver settings (run_solver; name, budget, max_iter and record_every
+    # apply to the solve subcommand only)
     solver_name: str = "gd"
     solver_schedule: str = "constant"
     solver_eta0: float | None = None
@@ -231,7 +237,9 @@ def resolve_theta0(config: ExperimentConfig, model: ModelSpec) -> Array:
         if theta0.shape != theta_ref.shape:
             raise ValueError(f"theta0 must have {len(theta_ref)} components")
         return theta0
-    raise ValueError(f"unknown theta0 policy {config.theta0_policy!r}")
+    raise ValueError(
+        f"unknown theta0 policy {config.theta0_policy!r}; available: {', '.join(THETA0_POLICIES)}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +344,7 @@ def _fit_modified(config: ExperimentConfig, model: ModelSpec, prob_mod: Problem)
                 gtol=config.table1_gtol,
                 damping_rel=damping_rel,
             )
-        except Exception:
+        except SolverError:
             continue
         if trace.terminated_by != "divergence" and np.all(np.isfinite(trace.final_theta)):
             status = "ok" if damping_rel == 1e-8 else f"ok(damping_rel={damping_rel:g})"
@@ -344,16 +352,13 @@ def _fit_modified(config: ExperimentConfig, model: ModelSpec, prob_mod: Problem)
     return None, "failed"
 
 
-def run_table1_study(
-    config: ExperimentConfig, write_csv: bool = True, jobs: int = 1
-) -> RelativeErrorReport:
+def run_table1_study(config: ExperimentConfig, write_csv: bool = True) -> RelativeErrorReport:
     """Fit all six schemes at each target fraction and report relative errors.
 
     Every fit is Gauss-Newton initialized at the reference augmented state;
     the scheme "none" row is the reference fit itself (error exactly zero).
     Fits that never produce a finite estimate are reported as infinite
-    relative error and flagged.  ``jobs`` > 1 fans the independent scheme
-    fits out to a thread pool; rows come back in the same order either way.
+    relative error and flagged.
     """
     out_dir = Path(config.output_dir)
     model, data = build_data(config)
@@ -363,8 +368,7 @@ def run_table1_study(
     none_value = float(problem.objective_many(theta_hat[None])[0])
     rows = [StudyRow("none", 1.0, (none_value - g_ref) / g_ref, "ok")]
 
-    def fit_one(task):
-        kind, potp = task
+    def fit_one(kind, potp):
         seed = config.stream(f"modify/{kind}/{potp}", config.modify_seed)
         prob_mod = build_problem(config, model, data, kind, potp, seed)
         theta_fit, status = _fit_modified(config, model, prob_mod)
@@ -374,14 +378,7 @@ def run_table1_study(
         err = np.inf if not np.isfinite(value) else (float(value) - g_ref) / g_ref
         return StudyRow(kind, potp, err, status)
 
-    tasks = [(kind, potp) for kind in SCHEME_KINDS for potp in config.table1_potps]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows.extend(pool.map(fit_one, tasks))
-    else:
-        rows.extend(fit_one(task) for task in tasks)
+    rows.extend(fit_one(kind, potp) for kind in SCHEME_KINDS for potp in config.table1_potps)
 
     report = RelativeErrorReport(rows=tuple(rows), reference_objective=g_ref)
     if write_csv:
@@ -447,14 +444,70 @@ def replay_trace(trace: RunTrace, problem: Problem, theta_ref_hat: Array) -> tup
     return trace.wall_clock[keep], errors[keep]
 
 
+def run_solver(
+    config: ExperimentConfig,
+    solver: str,
+    problem: Problem,
+    theta0: Array,
+    *,
+    n_full: int,
+    potp: float,
+    budget: float,
+    max_iter: int,
+    record_every: int,
+) -> tuple[RunTrace, dict]:
+    """Run one named solver on ``problem`` with the ``[solver]`` settings.
+
+    Unset step sizes fall back to the per-model tuned constants; the GD
+    step is rescaled by n_full / len(problem.data) because constant steps
+    are tuned against the full-data gradient scale and thinned problems see
+    proportionally smaller gradients.  The sampling stride kappa defaults
+    to round(1/potp) and is clamped to the number of observations.  Returns
+    the trace and the hyperparameters it ran with.
+    """
+    if solver not in SOLVER_NAMES:
+        raise ValueError(f"unknown solver {solver!r}; available: {', '.join(SOLVER_NAMES)}")
+    common = dict(budget=budget, max_iter=max_iter, record_every=record_every)
+    if solver == "gn":
+        damping = config.solver_damping
+        trace = run_gauss_newton(problem, theta0, damping=damping, gtol=config.solver_gtol, **common)
+        return trace, {"damping": "auto" if damping is None else damping}
+
+    eta0 = config.solver_eta0
+    if eta0 is None:
+        eta0 = MODEL_DEFAULTS.get(config.model, {}).get(f"{solver}_eta0", 1e-7)
+    if solver == "gd":
+        eta0 = eta0 * n_full / len(problem.data)
+        schedule = StepSchedule(config.solver_schedule, eta0, config.solver_k0, config.solver_alpha)
+        trace = run_gd(problem, theta0, schedule, gtol=config.solver_gtol, **common)
+        return trace, {"eta0": eta0}
+
+    kappa = config.solver_kappa
+    if kappa is None:
+        kappa = max(1, round_half_away(1.0 / potp))
+    kappa = min(kappa, len(problem.data))
+    if config.solver_sampler == "simple":
+        sampler = Sampler("simple", m=max(1, round_half_away(len(problem.data) / kappa)))
+    else:
+        sampler = Sampler(config.solver_sampler, kappa=kappa)
+    seed = config.stream(solver, config.solver_seed)
+    if solver == "sgd":
+        schedule = StepSchedule(config.solver_schedule, eta0, config.solver_k0, config.solver_alpha)
+        trace = run_sgd(problem, theta0, schedule, sampler, seed=seed, **common)
+        return trace, {"eta0": eta0, "kappa": kappa, "sampler": sampler.kind}
+    trace = run_ksgd(problem, theta0, sampler, form=config.solver_form, seed=seed, **common)
+    return trace, {"kappa": kappa, "form": config.solver_form, "sampler": sampler.kind}
+
+
 def _race_runs(config: ExperimentConfig) -> list[tuple[str, str, str]]:
     """(label, solver, scheme) triples: 8 first-order + 8 second-order."""
+    sampled = config.solver_sampler
     runs = [("gd_none", "gd", "none")]
     runs += [(f"gd_{kind}", "gd", kind) for kind in SCHEME_KINDS]
-    runs.append(("sgd_systematic", "sgd", "none"))
+    runs.append((f"sgd_{sampled}", "sgd", "none"))
     runs.append(("gn_none", "gn", "none"))
     runs += [(f"gn_{kind}", "gn", kind) for kind in SCHEME_KINDS]
-    runs.append(("ksgd_systematic", "ksgd", "none"))
+    runs.append((f"ksgd_{sampled}", "ksgd", "none"))
     return runs
 
 
@@ -462,24 +515,19 @@ def run_budget_race(config: ExperimentConfig, write_csv: bool = True) -> RaceRes
     """Race all solver/scheme combinations under the shared budget.
 
     Modified problems are built at the race's target fraction; SGD and kSGD
-    sample systematically with stride round(1/potp).  Step sizes come from
-    the per-model tuned constants, rescaled for thinned problems by the
-    term-count ratio.  After the runs, every trace is replayed through the
-    unmodified objective.
+    draw with the ``[solver]`` sampler (systematic by default) at stride
+    round(1/potp) unless ``[solver] kappa`` is set.  Every run goes through
+    ``run_solver``, so all ``[solver]`` settings other than name, budget,
+    max_iter and record_every apply here too.  After the runs, every trace
+    is replayed through the unmodified objective.
     """
     out_dir = Path(config.output_dir)
-    defaults = MODEL_DEFAULTS.get(config.model, {})
     model, data = build_data(config)
     problem = build_problem(config, model, data)
     theta_hat, g_ref = reference_minimizer(config, problem, cache_dir=out_dir)
     theta0 = resolve_theta0(config, model)
 
     potp = config.race_potp
-    kappa = config.solver_kappa or max(1, round_half_away(1.0 / potp))
-    gd_eta0 = config.solver_eta0 or defaults.get("gd_eta0", 1e-7)
-    sgd_eta0 = config.solver_eta0 or defaults.get("sgd_eta0", 1e-7)
-    budget, max_iter = config.race_budget, config.race_max_iter
-
     results = []
     for label, solver, scheme in _race_runs(config):
         if scheme != "none":
@@ -487,55 +535,17 @@ def run_budget_race(config: ExperimentConfig, write_csv: bool = True) -> RaceRes
             prob = build_problem(config, model, data, scheme, potp, seed)
         else:
             prob = problem
-        record_every = 1 if label in ("gd_none", "gn_none") else config.race_record_every
-        if solver == "gd":
-            # constant steps are tuned against the full-data gradient scale;
-            # thinned problems see proportionally smaller gradients
-            eta = gd_eta0 * len(data) / len(prob.data)
-            hyper = {"eta0": eta}
-            trace = run_gd(
-                prob,
-                theta0,
-                StepSchedule("constant", eta),
-                budget=budget,
-                max_iter=max_iter,
-                record_every=record_every,
-            )
-        elif solver == "sgd":
-            hyper = {"eta0": sgd_eta0, "kappa": kappa, "sampler": "systematic"}
-            trace = run_sgd(
-                prob,
-                theta0,
-                StepSchedule("constant", sgd_eta0),
-                Sampler("systematic", kappa=kappa),
-                budget=budget,
-                max_iter=max_iter,
-                seed=config.stream("sgd", config.solver_seed),
-                record_every=record_every,
-            )
-        elif solver == "gn":
-            hyper = {"damping": "auto" if config.solver_damping is None else config.solver_damping}
-            trace = run_gauss_newton(
-                prob,
-                theta0,
-                damping=config.solver_damping,
-                budget=budget,
-                max_iter=max_iter,
-                gtol=config.solver_gtol,
-                record_every=record_every,
-            )
-        else:
-            hyper = {"kappa": kappa, "form": config.solver_form, "sampler": "systematic"}
-            trace = run_ksgd(
-                prob,
-                theta0,
-                Sampler("systematic", kappa=kappa),
-                form=config.solver_form,
-                budget=budget,
-                max_iter=max_iter,
-                seed=config.stream("ksgd", config.solver_seed),
-                record_every=record_every,
-            )
+        trace, hyper = run_solver(
+            config,
+            solver,
+            prob,
+            theta0,
+            n_full=len(data),
+            potp=potp,
+            budget=config.race_budget,
+            max_iter=config.race_max_iter,
+            record_every=1 if label in ("gd_none", "gn_none") else config.race_record_every,
+        )
         times, errors = replay_trace(trace, problem, theta_hat)
         results.append(
             RaceRun(

@@ -10,7 +10,8 @@ All six schemes map an observation set to a smaller or displaced one:
   emitted weight records the member count (it is not applied to the loss
   unless the problem is built with reweighting enabled).
 * ``simple_random_sample`` / ``systematic_random_sample`` keep a subset of
-  the observations unchanged.
+  the observations unchanged, drawn by ``stochastic.draw_simple`` /
+  ``draw_systematic`` (the draws the stochastic solvers use).
 
 Counts derived from a target fraction use half-away-from-zero rounding.
 """
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .observe import ObservationSet, observation_times
+from .stochastic import draw_simple, draw_systematic
 
 Array = np.ndarray
 
@@ -118,29 +120,17 @@ def average_nearest(data: ObservationSet, predetermined: Array) -> ObservationSe
 
 def simple_random_sample(data: ObservationSet, potp: float, seed: int) -> ObservationSet:
     """Uniform sample without replacement keeping round(potp * N) observations."""
-    n_obs = len(data)
-    m = round_half_away(potp * n_obs)
-    if m < 1:
-        raise ValueError("potp keeps zero observations")
-    if m > n_obs:
-        raise ValueError("potp must not exceed 1")
+    m = round_half_away(potp * len(data))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    indices = np.sort(rng.choice(n_obs, size=m, replace=False))
-    return data.subset(indices)
+    return data.subset(draw_simple(len(data), m, rng).indices)
 
 
 def systematic_random_sample(data: ObservationSet, potp: float, seed: int) -> ObservationSet:
     """Keep every kappa-th observation from a uniformly random offset,
     kappa = round(1 / potp)."""
-    n_obs = len(data)
     kappa = round_half_away(1.0 / potp)
-    if kappa < 1:
-        raise ValueError("potp must lie in (0, 1]")
-    if kappa > n_obs:
-        raise ValueError(f"sampling stride {kappa} exceeds the number of observations")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    offset = int(rng.integers(kappa))
-    return data.subset(np.arange(offset, n_obs, kappa))
+    return data.subset(draw_systematic(len(data), kappa, rng).indices)
 
 
 @dataclass(frozen=True)

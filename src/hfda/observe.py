@@ -32,6 +32,8 @@ from .integrate import (
 
 Array = np.ndarray
 
+DERIVATIVE_MODES = ("forward", "adjoint")
+
 
 def inverse_cdf_gaussian(rng: np.random.Generator, shape) -> Array:
     """Standard normal variates via the inverse CDF of uniform draws.
@@ -263,7 +265,7 @@ def gradient(
     same vectors into the augmented space and injects them as impulses into
     one backward sweep.  The two agree to roundoff.
     """
-    if mode not in ("forward", "adjoint"):
+    if mode not in DERIVATIVE_MODES:
         raise ValueError(f"unknown gradient mode {mode!r}")
     theta = np.asarray(theta, dtype=float)
     idx = grid.node_index(data.times)

@@ -30,12 +30,17 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .dynamics import ModelSpec
 from .integrate import DivergenceError, TimeGrid, build_grid, grid_from_times
-from .observe import GradientEvaluation, ObservationSet
+from .observe import DERIVATIVE_MODES, GradientEvaluation, ObservationSet
 from . import observe
 from .stochastic import ResidualSystem, SampleSet, Sampler, full_sample
 from . import stochastic
 
 Array = np.ndarray
+
+
+SCHEDULE_KINDS = ("constant", "polynomial")
+# "auto" picks the information or covariance form per step (see run_ksgd)
+KSGD_FORMS = ("auto", "information", "covariance")
 
 
 class SolverError(RuntimeError):
@@ -72,7 +77,7 @@ class StepSchedule:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "polynomial"):
+        if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.eta0 <= 0 or self.k0 <= 0:
             raise ValueError("eta0 and k0 must be positive")
@@ -122,7 +127,7 @@ class Problem:
         mode: str = "forward",
         free: Array | None = None,
     ):
-        if mode not in ("forward", "adjoint"):
+        if mode not in DERIVATIVE_MODES:
             raise ValueError(f"unknown derivative mode {mode!r}")
         self.model = model
         self.data = data
@@ -367,7 +372,7 @@ def ksgd_step(
     recursion is its Woodbury image).  Matrices are symmetrized after each
     update to suppress roundoff drift.
     """
-    if form not in ("information", "covariance"):
+    if form == "auto" or form not in KSGD_FORMS:
         raise ValueError(f"unknown kSGD form {form!r}")
     free = np.arange(len(state.theta)) if free is None else np.asarray(free, dtype=int)
     d = rs.d_matrix[:, free]
@@ -412,7 +417,7 @@ def run_ksgd(
     estimated components is at most the stacked residual dimension (the
     smaller implicit linear system), else the covariance form.
     """
-    if form not in ("auto", "information", "covariance"):
+    if form not in KSGD_FORMS:
         raise ValueError(f"unknown kSGD form {form!r}")
     free = problem.free
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -57,7 +57,7 @@ def full_sample(n_obs: int) -> SampleSet:
 def draw_systematic(n_obs: int, kappa: int, rng: np.random.Generator) -> SampleSet:
     """Offset uniform on {0..kappa-1}, then every kappa-th index; pi = 1/kappa."""
     if not 1 <= kappa <= n_obs:
-        raise ValueError("kappa must lie in [1, n_obs]")
+        raise ValueError(f"sampling stride {kappa} must lie in [1, {n_obs}]")
     offset = int(rng.integers(kappa))
     indices = np.arange(offset, n_obs, kappa)
     return SampleSet(indices=indices, pi=np.full(len(indices), 1.0 / kappa))
@@ -66,7 +66,7 @@ def draw_systematic(n_obs: int, kappa: int, rng: np.random.Generator) -> SampleS
 def draw_simple(n_obs: int, m: int, rng: np.random.Generator) -> SampleSet:
     """Uniform without replacement; pi = m / n_obs."""
     if not 1 <= m <= n_obs:
-        raise ValueError("sample size must lie in [1, n_obs]")
+        raise ValueError(f"sample size {m} must lie in [1, {n_obs}]")
     indices = np.sort(rng.choice(n_obs, size=m, replace=False))
     return SampleSet(indices=indices, pi=np.full(m, m / n_obs))
 
@@ -85,6 +85,9 @@ def draw_stratified(n_obs: int, kappa: int, rng: np.random.Generator) -> SampleS
     return SampleSet(indices=picks, pi=1.0 / sizes)
 
 
+SAMPLER_KINDS = ("systematic", "stratified", "simple", "full")
+
+
 @dataclass(frozen=True)
 class Sampler:
     """A drawing strategy solvers call once per iteration.
@@ -98,7 +101,7 @@ class Sampler:
     m: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("systematic", "stratified", "simple", "full"):
+        if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
 
     def draw(self, n_obs: int, rng: np.random.Generator) -> SampleSet:

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hfda import harness
 from hfda.cli import ConfigError, main, parse_config
 
 REPO_CONFIGS = Path(__file__).parent.parent / "configs"
@@ -151,7 +153,105 @@ gtol = 1e-2
 
 def test_unknown_solver_exits_nonzero(tmp_path):
     path = write_config(tmp_path, SMALL_FN + "\n[solver]\nname = bfgs\n")
-    assert main(["solve", "--config", str(path), "--output-dir", str(tmp_path / "x")]) == 2
+    out = tmp_path / "x"
+    assert main(["solve", "--config", str(path), "--output-dir", str(out)]) == 2
+    assert not list(out.glob("reference_*.json"))  # rejected before any fit
+
+
+def test_unknown_sampler_exits_before_fitting(tmp_path):
+    path = write_config(tmp_path, SMALL_FN + "\n[solver]\nname = sgd\nsampler = bogus\n")
+    out = tmp_path / "x"
+    assert main(["solve", "--config", str(path), "--output-dir", str(out)]) == 2
+    assert not list(out.glob("reference_*.json"))
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("experiment", "mode", "reverse"),
+        ("solver", "name", "bfgs"),
+        ("solver", "sampler", "bogus"),
+        ("solver", "form", "qr"),
+        ("solver", "schedule", "cosine"),
+        ("solver", "theta0", "random"),
+        ("solver", "kappa", "0"),
+        ("solver", "eta0", "0"),
+        ("solver", "eta0", "-3e-7"),
+    ],
+)
+def test_parse_rejects_bad_enumerated_or_nonpositive_value(tmp_path, section, key, value):
+    if section == "experiment":
+        body = MINIMAL + f"{key} = {value}\n"
+    else:
+        body = MINIMAL + f"\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
+        parse_config(write_config(tmp_path, body))
+
+
+def test_parse_keeps_auto_kappa_and_eta0(tmp_path):
+    cfg = parse_config(write_config(tmp_path, MINIMAL + "\n[solver]\nkappa = auto\neta0 = auto\n"))
+    assert cfg.solver_eta0 is None
+    assert cfg.solver_kappa == 50  # the model default fills an unset stride
+
+
+def _fake_study(status):
+    rows = (
+        harness.StudyRow("none", 1.0, 0.0, "ok"),
+        harness.StudyRow("accumulate_upper", 0.01, 2.25, status),
+    )
+    return lambda config, write_csv=True: harness.RelativeErrorReport(rows, 1.0)
+
+
+def test_table1_exit_code_follows_failed_rows(tmp_path, monkeypatch):
+    path = write_config(tmp_path, SMALL_FN)
+    argv = ["table1", "--config", str(path), "--output-dir", str(tmp_path / "t")]
+    monkeypatch.setattr(harness, "run_table1_study", _fake_study("ok(damping_rel=0.0001)"))
+    assert main(argv) == 0  # a row rescued by larger damping is a success
+    monkeypatch.setattr(harness, "run_table1_study", _fake_study("failed"))
+    assert main(argv) == 1
+
+
+def test_solve_and_race_share_the_solver_dispatch(tmp_path, monkeypatch):
+    """solve with name=sgd/ksgd ends where the race's sampled runs end."""
+    calls = []
+    original = harness.run_solver
+
+    def recording(config, solver, *args, **kwargs):
+        trace, hyper = original(config, solver, *args, **kwargs)
+        calls.append((solver, trace, hyper))
+        return trace, hyper
+
+    monkeypatch.setattr(harness, "run_solver", recording)
+    path = write_config(
+        tmp_path,
+        SMALL_FN
+        + """
+[solver]
+kappa = 5
+budget = 0
+max_iter = 3
+
+[race]
+budget = 0
+max_iter = 3
+
+[reference]
+max_iter = 10
+gtol = 1e-2
+""",
+    )
+    out = str(tmp_path / "out")
+    for name in ("sgd", "ksgd"):
+        argv = ["solve", "--config", str(path), "--output-dir", out, "--set", f"solver.name={name}"]
+        assert main(argv) == 0
+    solved = {solver: (trace, hyper) for solver, trace, hyper in calls}
+    calls.clear()
+    assert main(["race", "--config", str(path), "--output-dir", out]) == 0
+    raced = {solver: (trace, hyper) for solver, trace, hyper in calls if solver in solved}
+    for name in ("sgd", "ksgd"):
+        assert solved[name][0].n_iterations == 3  # a stride-5 coarse step is stable
+        assert np.array_equal(solved[name][0].final_theta, raced[name][0].final_theta)
+        assert solved[name][1] == raced[name][1]
 
 
 def test_bad_config_exit_code(tmp_path):
