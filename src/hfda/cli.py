@@ -265,7 +265,7 @@ def cmd_solve(config: ExperimentConfig) -> int:
     )
     csv_path = out / f"{config.model}_{label}.csv"
     harness.write_trace_csv(run, csv_path)
-    harness._write_run_metadata(config, run, out / f"{config.model}_{label}.meta")
+    harness._write_run_metadata(config, run, config.modify_potp, out / f"{config.model}_{label}.meta")
     print(
         f"solve: {name} on {config.model}/{config.modify_scheme} finished by "
         f"{trace.terminated_by} after {trace.n_iterations} iterations, "

@@ -6,17 +6,24 @@ state, and a reference parameter vector.  ``augment`` folds the parameters
 into the initial condition, turning parameter estimation into the problem of
 choosing the initial value of an enlarged state vector.
 
-All right-hand sides and Jacobians are vectorized over leading batch
-dimensions: ``x`` may have shape ``(d,)`` or ``(..., d)``.
+Model functions are component-wise: ``x`` is a sequence of d components and
+``params`` a sequence of p components, each a float or an array, all of one
+shape.  ``rhs`` returns a d-tuple, ``jac_x`` a d x d and ``jac_p`` a d x p
+nested tuple (rows are components of f).  The expressions use only
+``+ - * /``, so a float evaluation and every element of a batched one give
+the same bits.  ``eval_rhs`` and ``eval_jacobians`` adapt them to and from
+last-axis ``(..., d)`` arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from operator import mul
+from typing import Callable, Sequence
 
 import numpy as np
 
 Array = np.ndarray
+Components = Sequence  # of floats or same-shape arrays
 
 
 @dataclass(frozen=True)
@@ -27,9 +34,9 @@ class ModelSpec:
         name: registry identifier.
         d: state dimension.
         p: parameter dimension.
-        rhs: (t, x, params) -> dx/dt, shape (..., d).
-        jac_x: (t, x, params) -> df/dx, shape (..., d, d).
-        jac_p: (t, x, params) -> df/dparams, shape (..., d, p).
+        rhs: (t, x, params) -> dx/dt as d components.
+        jac_x: (t, x, params) -> df/dx as d rows of d components.
+        jac_p: (t, x, params) -> df/dparams as d rows of p components.
         x0: baseline initial state, shape (d,).
         params_ref: reference ("true") parameter vector, shape (p,).
         t_span: integration interval (t0, t_end).
@@ -38,9 +45,9 @@ class ModelSpec:
     name: str
     d: int
     p: int
-    rhs: Callable[[float, Array, Array], Array]
-    jac_x: Callable[[float, Array, Array], Array]
-    jac_p: Callable[[float, Array, Array], Array]
+    rhs: Callable[[float, Components, Components], tuple]
+    jac_x: Callable[[float, Components, Components], tuple]
+    jac_p: Callable[[float, Components, Components], tuple]
     x0: Array
     params_ref: Array
     t_span: tuple[float, float]
@@ -85,16 +92,15 @@ class AugmentedSystem:
 
     def rhs(self, t: float, z: Array) -> Array:
         x, params = self.split(z)
-        dz = np.zeros_like(z)
-        dz[..., : self.model.d] = self.model.rhs(t, x, params)
-        return dz
+        return np.concatenate([eval_rhs(self.model, t, x, params), np.zeros_like(params)], axis=-1)
 
     def jac(self, t: float, z: Array) -> Array:
         x, params = self.split(z)
         d = self.model.d
+        fx, fp = eval_jacobians(self.model, t, x, params)
         jac = np.zeros(z.shape + (self.q,))
-        jac[..., :d, :d] = self.model.jac_x(t, x, params)
-        jac[..., :d, d:] = self.model.jac_p(t, x, params)
+        jac[..., :d, :d] = fx
+        jac[..., :d, d:] = fp
         return jac
 
     def initial_state(self, theta: Array) -> Array:
@@ -105,24 +111,49 @@ class AugmentedSystem:
         return theta
 
 
+def _components(model: ModelSpec, x: Array, params: Array) -> tuple[list, list, tuple]:
+    """Component lists of (..., d) states and (..., p) parameters, and their
+    common batch shape; unbatched inputs become Python floats."""
+    x, params = np.asarray(x, dtype=float), np.asarray(params, dtype=float)
+    if x.shape[-1:] != (model.d,) or params.shape[-1:] != (model.p,):
+        raise ValueError(
+            f"state and params must have {model.d} and {model.p} components, "
+            f"got shapes {x.shape} and {params.shape}"
+        )
+    if x.ndim == 1 and params.ndim == 1:
+        return x.tolist(), params.tolist(), ()
+    shape = x.shape[:-1]
+    if params.shape[:-1] != shape:
+        shape = np.broadcast_shapes(shape, params.shape[:-1])
+        x = np.broadcast_to(x, shape + (model.d,))
+        params = np.broadcast_to(params, shape + (model.p,))
+    return [x[..., i] for i in range(model.d)], [params[..., k] for k in range(model.p)], shape
+
+
+def _to_array(entries, shape: tuple, tail: tuple) -> Array:
+    """Array of shape ``shape + tail`` from (nested) component entries."""
+    if not shape:
+        return np.array(entries, dtype=float)
+    flat = entries if len(tail) == 1 else [e for row in entries for e in row]
+    out = np.empty(shape + (len(flat),))
+    for i, value in enumerate(flat):
+        out[..., i] = value
+    return out.reshape(shape + tail)
+
+
 def eval_rhs(model: ModelSpec, t: float, x: Array, params: Array) -> Array:
-    """Evaluate f(t, x, params) with dimension checks."""
-    x = np.asarray(x, dtype=float)
-    params = np.asarray(params, dtype=float)
-    if x.shape[-1] != model.d:
-        raise ValueError(f"state must have {model.d} components, got {x.shape[-1]}")
-    if params.shape[-1] != model.p:
-        raise ValueError(f"params must have {model.p} components, got {params.shape[-1]}")
-    return model.rhs(t, x, params)
+    """f(t, x, params) for (..., d) states and (..., p) parameters, as a
+    (..., d) array."""
+    xs, ps, shape = _components(model, x, params)
+    return _to_array(model.rhs(t, xs, ps), shape, (model.d,))
 
 
 def eval_jacobians(model: ModelSpec, t: float, x: Array, params: Array) -> tuple[Array, Array]:
-    """Evaluate (df/dx, df/dparams) with dimension checks."""
-    x = np.asarray(x, dtype=float)
-    params = np.asarray(params, dtype=float)
-    if x.shape[-1] != model.d or params.shape[-1] != model.p:
-        raise ValueError("state/params dimensions do not match the model")
-    return model.jac_x(t, x, params), model.jac_p(t, x, params)
+    """(df/dx, df/dparams) as (..., d, d) and (..., d, p) arrays."""
+    xs, ps, shape = _components(model, x, params)
+    fx = _to_array(model.jac_x(t, xs, ps), shape, (model.d, model.d))
+    fp = _to_array(model.jac_p(t, xs, ps), shape, (model.d, model.p))
+    return fx, fp
 
 
 def augment(model: ModelSpec) -> AugmentedSystem:
@@ -135,99 +166,65 @@ def augment(model: ModelSpec) -> AugmentedSystem:
 # ---------------------------------------------------------------------------
 
 
-def _fn_rhs(t: float, x: Array, params: Array) -> Array:
+def _fn_rhs(t, x, params):
     # dv/dt = v - v^3/3 - w + ii
     # dw/dt = (v - a - b*w) / tau
-    v, w = x[..., 0], x[..., 1]
-    ii, a, b, tau = params[..., 0], params[..., 1], params[..., 2], params[..., 3]
-    out = np.empty(np.broadcast(v, ii).shape + (2,))
-    out[..., 0] = v - v**3 / 3.0 - w + ii
-    out[..., 1] = (v - a - b * w) / tau
-    return out
+    v, w = x
+    ii, a, b, tau = params
+    return (v - v * v * v / 3.0 - w + ii, (v - a - b * w) / tau)
 
 
-def _fn_jac_x(t: float, x: Array, params: Array) -> Array:
-    v = x[..., 0]
-    b, tau = params[..., 2], params[..., 3]
-    out = np.empty(np.broadcast(v, b).shape + (2, 2))
-    out[..., 0, 0] = 1.0 - v**2
-    out[..., 0, 1] = -1.0
-    out[..., 1, 0] = 1.0 / tau
-    out[..., 1, 1] = -b / tau
-    return out
+def _fn_jac_x(t, x, params):
+    v, _ = x
+    _, _, b, tau = params
+    return ((1.0 - v * v, -1.0), (1.0 / tau, -b / tau))
 
 
-def _fn_jac_p(t: float, x: Array, params: Array) -> Array:
-    v, w = x[..., 0], x[..., 1]
-    a, b, tau = params[..., 1], params[..., 2], params[..., 3]
-    out = np.zeros(np.broadcast(v, a).shape + (2, 4))
-    out[..., 0, 0] = 1.0
-    out[..., 1, 1] = -1.0 / tau
-    out[..., 1, 2] = -w / tau
-    out[..., 1, 3] = -(v - a - b * w) / tau**2
-    return out
+def _fn_jac_p(t, x, params):
+    v, w = x
+    _, a, b, tau = params
+    return (
+        (1.0, 0.0, 0.0, 0.0),
+        (0.0, -1.0 / tau, -w / tau, -(v - a - b * w) / (tau * tau)),
+    )
 
 
-def _lv_rhs(t: float, x: Array, params: Array) -> Array:
+def _lv_rhs(t, x, params):
     # du/dt = alpha*u - beta*u*v
     # dv/dt = delta*u*v - gamma*v
-    u, v = x[..., 0], x[..., 1]
-    alpha, beta, delta, gamma = (params[..., j] for j in range(4))
-    out = np.empty(np.broadcast(u, alpha).shape + (2,))
-    out[..., 0] = alpha * u - beta * u * v
-    out[..., 1] = delta * u * v - gamma * v
-    return out
+    u, v = x
+    alpha, beta, delta, gamma = params
+    return (alpha * u - beta * u * v, delta * u * v - gamma * v)
 
 
-def _lv_jac_x(t: float, x: Array, params: Array) -> Array:
-    u, v = x[..., 0], x[..., 1]
-    alpha, beta, delta, gamma = (params[..., j] for j in range(4))
-    out = np.empty(np.broadcast(u, alpha).shape + (2, 2))
-    out[..., 0, 0] = alpha - beta * v
-    out[..., 0, 1] = -beta * u
-    out[..., 1, 0] = delta * v
-    out[..., 1, 1] = delta * u - gamma
-    return out
+def _lv_jac_x(t, x, params):
+    u, v = x
+    alpha, beta, delta, gamma = params
+    return ((alpha - beta * v, -beta * u), (delta * v, delta * u - gamma))
 
 
-def _lv_jac_p(t: float, x: Array, params: Array) -> Array:
-    u, v = x[..., 0], x[..., 1]
-    out = np.zeros(np.broadcast(u, params[..., 0]).shape + (2, 4))
-    out[..., 0, 0] = u
-    out[..., 0, 1] = -u * v
-    out[..., 1, 2] = u * v
-    out[..., 1, 3] = -v
-    return out
+def _lv_jac_p(t, x, params):
+    u, v = x
+    return ((u, -u * v, 0.0, 0.0), (0.0, 0.0, u * v, -v))
 
 
-def _vdp_rhs(t: float, x: Array, params: Array) -> Array:
+def _vdp_rhs(t, x, params):
     # dx1/dt = x2
     # dx2/dt = mu*(1 - x1^2)*x2 - x1
-    x1, x2 = x[..., 0], x[..., 1]
-    mu = params[..., 0]
-    out = np.empty(np.broadcast(x1, mu).shape + (2,))
-    out[..., 0] = x2
-    out[..., 1] = mu * (1.0 - x1**2) * x2 - x1
-    return out
+    x1, x2 = x
+    (mu,) = params
+    return (x2, mu * (1.0 - x1 * x1) * x2 - x1)
 
 
-def _vdp_jac_x(t: float, x: Array, params: Array) -> Array:
-    x1, x2 = x[..., 0], x[..., 1]
-    mu = params[..., 0]
-    out = np.empty(np.broadcast(x1, mu).shape + (2, 2))
-    out[..., 0, 0] = 0.0
-    out[..., 0, 1] = 1.0
-    out[..., 1, 0] = -2.0 * mu * x1 * x2 - 1.0
-    out[..., 1, 1] = mu * (1.0 - x1**2)
-    return out
+def _vdp_jac_x(t, x, params):
+    x1, x2 = x
+    (mu,) = params
+    return ((0.0, 1.0), (-2.0 * mu * x1 * x2 - 1.0, mu * (1.0 - x1 * x1)))
 
 
-def _vdp_jac_p(t: float, x: Array, params: Array) -> Array:
-    x1, x2 = x[..., 0], x[..., 1]
-    out = np.empty(np.broadcast(x1, params[..., 0]).shape + (2, 1))
-    out[..., 0, 0] = 0.0
-    out[..., 1, 0] = (1.0 - x1**2) * x2
-    return out
+def _vdp_jac_p(t, x, params):
+    x1, x2 = x
+    return ((0.0,), ((1.0 - x1 * x1) * x2,))
 
 
 def fitzhugh_nagumo() -> ModelSpec:
@@ -288,14 +285,20 @@ def linear_system(a: Array, b: Array, x0: Array, t_span: tuple[float, float]) ->
     if a.shape != (d, d):
         raise ValueError("A must be square and compatible with B")
 
-    def rhs(t: float, x: Array, params: Array) -> Array:
-        return x @ a.T + params @ b.T
+    a_rows = tuple(map(tuple, a.tolist()))
+    b_rows = tuple(map(tuple, b.tolist()))
 
-    def jac_x(t: float, x: Array, params: Array) -> Array:
-        return np.broadcast_to(a, x.shape[:-1] + (d, d)).copy()
+    def rhs(t, x, params):
+        return tuple(
+            sum(map(mul, a_row, x)) + sum(map(mul, b_row, params))
+            for a_row, b_row in zip(a_rows, b_rows)
+        )
 
-    def jac_p(t: float, x: Array, params: Array) -> Array:
-        return np.broadcast_to(b, x.shape[:-1] + (d, p)).copy()
+    def jac_x(t, x, params):
+        return a_rows
+
+    def jac_p(t, x, params):
+        return b_rows
 
     return ModelSpec(
         name="linear",

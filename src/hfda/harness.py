@@ -16,7 +16,7 @@ All randomness flows from the experiment seed through named substreams
 (observation noise, scheme sampling, solver sampling, initial perturbation),
 derived as SeedSequence((seed, crc32(label))).  The unmodified-problem
 reference minimizer is computed once per configuration and cached on disk
-keyed by a hash of the fields it depends on.
+keyed by a hash of the fields it depends on and a cache-format version.
 """
 from __future__ import annotations
 
@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ModelSpec, augment, eval_jacobians, eval_rhs, get_model, linear_system
-from .integrate import grid_from_times, integrate
+from .dynamics import ModelSpec, eval_jacobians, eval_rhs, get_model, linear_system
+from .integrate import grid_from_times, integrate_augmented
 from .modify import SCHEME_KINDS, make_scheme, round_half_away
 from .observe import (
     ObservationSet,
@@ -58,9 +58,11 @@ Array = np.ndarray
 # Desk-scale defaults per model: preferred step, observation period/noise,
 # hand-tuned constant step sizes for the first-order methods, the sampling
 # stride for the stochastic solvers, and the committed initialization draw
-# for the budget race.  The FitzHugh-Nagumo stride is 50 rather than
-# round(1/potp) = 100: at the perturbed race starts the kappa=100 coarse
-# step of 1.0 sits outside the stable region and inflates sampled
+# for the budget race.  The stride is tuned at the default period; an
+# unset ``[solver] kappa`` scales it to the configured period so the coarse
+# step kappa * period stays put.  The FitzHugh-Nagumo stride is 50 rather
+# than round(1/potp) = 100: at the perturbed race starts the kappa=100
+# coarse step of 1.0 sits outside the stable region and inflates sampled
 # gradients by orders of magnitude.
 MODEL_DEFAULTS = {
     "fitzhugh_nagumo": {
@@ -164,8 +166,10 @@ class ExperimentConfig:
             self.obs_period = defaults.get("period")
         if self.obs_sigma is None:
             self.obs_sigma = defaults.get("sigma", 0.1)
-        if self.solver_kappa is None:
-            self.solver_kappa = defaults.get("kappa")
+        if self.solver_kappa is None and "kappa" in defaults:
+            # the tuned stride holds the coarse step kappa * period fixed
+            scaled = defaults["kappa"] * defaults["period"] / self.obs_period
+            self.solver_kappa = max(1, round_half_away(scaled))
         if self.theta0_seed is None:
             self.theta0_seed = defaults.get("theta0_seed")
         if self.h is None or self.obs_period is None:
@@ -256,8 +260,14 @@ def relative_error(objective_fn, theta_mod: Array, theta_nomod: Array) -> float:
     return (float(objective_fn(theta_mod)) - g_ref) / g_ref
 
 
+# Bumped whenever cached fits stop matching what a fresh fit would give
+# (for example after an integrator change moves trajectories at roundoff).
+REFERENCE_FORMAT = 2
+
+
 def _reference_key(config: ExperimentConfig) -> str:
     fields = {
+        "format": REFERENCE_FORMAT,
         "model": config.model,
         "h": config.h,
         "period": config.obs_period,
@@ -461,9 +471,9 @@ def run_solver(
     Unset step sizes fall back to the per-model tuned constants; the GD
     step is rescaled by n_full / len(problem.data) because constant steps
     are tuned against the full-data gradient scale and thinned problems see
-    proportionally smaller gradients.  The sampling stride kappa defaults
-    to round(1/potp) and is clamped to the number of observations.  Returns
-    the trace and the hyperparameters it ran with.
+    proportionally smaller gradients.  The sampling stride is ``[solver]
+    kappa`` (see ``ExperimentConfig``), else round(1/potp), clamped to the
+    number of observations.  Returns the trace and its hyperparameters.
     """
     if solver not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {solver!r}; available: {', '.join(SOLVER_NAMES)}")
@@ -515,8 +525,8 @@ def run_budget_race(config: ExperimentConfig, write_csv: bool = True) -> RaceRes
     """Race all solver/scheme combinations under the shared budget.
 
     Modified problems are built at the race's target fraction; SGD and kSGD
-    draw with the ``[solver]`` sampler (systematic by default) at stride
-    round(1/potp) unless ``[solver] kappa`` is set.  Every run goes through
+    draw with the ``[solver]`` sampler (systematic by default) at the stride
+    ``run_solver`` picks.  Every run goes through
     ``run_solver``, so all ``[solver]`` settings other than name, budget,
     max_iter and record_every apply here too.  After the runs, every trace
     is replayed through the unmodified objective.
@@ -571,7 +581,7 @@ def run_budget_race(config: ExperimentConfig, write_csv: bool = True) -> RaceRes
         out_dir.mkdir(parents=True, exist_ok=True)
         for run in race.runs:
             write_trace_csv(run, out_dir / f"{config.model}_{run.label}.csv")
-            _write_run_metadata(config, run, out_dir / f"{config.model}_{run.label}.meta")
+            _write_run_metadata(config, run, potp, out_dir / f"{config.model}_{run.label}.meta")
     return race
 
 
@@ -582,12 +592,14 @@ def write_trace_csv(run: RaceRun, path) -> None:
             fh.write(f"{t:.17g},{e:.17g}\n")
 
 
-def _write_run_metadata(config: ExperimentConfig, run: RaceRun, path) -> None:
+def _write_run_metadata(config: ExperimentConfig, run: RaceRun, potp: float, path) -> None:
+    """Write a run's ``key = value`` sidecar; ``potp`` is the fraction the
+    run's problem and sampling stride were built at."""
     lines = {
         "model": config.model,
         "solver": run.solver,
         "scheme": run.scheme,
-        "potp": config.race_potp,
+        "potp": potp,
         "budget": run.trace.budget,
         "seed": config.seed,
         "obs_seed": config.stream("observation", config.obs_seed),
@@ -625,21 +637,11 @@ class CheckResult:
 
 
 def _fd_jacobians(model: ModelSpec, t: float, x: Array, params: Array, step: float = 1e-6):
-    """Central finite differences of the right-hand side."""
-    fx = np.empty((model.d, model.d))
-    for j in range(model.d):
-        e = np.zeros(model.d)
-        e[j] = step
-        fx[:, j] = (eval_rhs(model, t, x + e, params) - eval_rhs(model, t, x - e, params)) / (
-            2 * step
-        )
-    fp = np.empty((model.d, model.p))
-    for j in range(model.p):
-        e = np.zeros(model.p)
-        e[j] = step
-        fp[:, j] = (eval_rhs(model, t, x, params + e) - eval_rhs(model, t, x, params - e)) / (
-            2 * step
-        )
+    """Central finite differences of the right-hand side, one batched
+    evaluation per perturbed block (row j of a batch shifts component j)."""
+    ex, ep = step * np.eye(model.d), step * np.eye(model.p)
+    fx = (eval_rhs(model, t, x + ex, params) - eval_rhs(model, t, x - ex, params)).T / (2 * step)
+    fp = (eval_rhs(model, t, x, params + ep) - eval_rhs(model, t, x, params - ep)).T / (2 * step)
     return fx, fp
 
 
@@ -650,12 +652,12 @@ def check_model_jacobians(model: ModelSpec, seed: int = 0, n_points: int = 100) 
     t0, t_end = model.t_span
     times = np.linspace(t0, t_end, 64)
     grid = grid_from_times(t0, times[1:])
-    traj = integrate(augment(model), model.theta_ref(), grid)
+    states = integrate_augmented(model, model.theta_ref(), grid)
     worst = 0.0
     for _ in range(n_points):
         node = int(rng.integers(len(grid.nodes)))
         t = float(grid.nodes[node])
-        x = traj.states[node][: model.d] * (1.0 + 0.1 * rng.standard_normal(model.d))
+        x = states[node] * (1.0 + 0.1 * rng.standard_normal(model.d))
         params = model.params_ref * (1.0 + 0.1 * rng.standard_normal(model.p))
         fx, fp = eval_jacobians(model, t, x, params)
         fx_fd, fp_fd = _fd_jacobians(model, t, x, params)

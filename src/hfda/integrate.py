@@ -1,16 +1,22 @@
 """Fixed-step Ralston fourth-order Runge-Kutta integration.
 
-Three entry points:
+The generic entry points take any augmented system and are the reference
+oracles for the model path:
 
 * ``integrate`` advances an augmented system over a ``TimeGrid``.
 * ``integrate_with_sensitivity`` jointly advances the state and the q x q
   derivative of the state with respect to the initial condition.  The
   Jacobian is evaluated at the Runge-Kutta stage states, which makes the
   propagated matrix the exact derivative of the discrete flow map.
-* ``integrate_adjoint`` runs the reverse sweep of the same discrete flow:
-  it transposes the stage recursion step by step (re-running the forward
-  stages to recover intra-step states), adding impulse vectors at
-  designated nodes on the earlier side of the node.
+
+The model-path sweeps step only the physical block of a ``ModelSpec``, one
+trajectory on Python floats (numpy's per-operation overhead would dominate
+on d-component arrays): ``integrate_augmented`` (states; a batch of theta
+runs on component arrays), ``integrate_augmented_sensitivity`` (states and
+the d x q tangent) and ``integrate_adjoint`` (the reverse sweep of the same
+discrete flow: it transposes the stage recursion step by step, re-running
+the forward stages to recover intra-step states, and adds impulse vectors
+at designated nodes on the earlier side of the node).
 
 Grids are built so that every observation time is exactly one of the nodes;
 integration never steps across an observation time.
@@ -18,7 +24,9 @@ integration never steps across an observation time.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -282,38 +290,67 @@ def integrate_with_sensitivity(
     return SensitivityTrajectory(base=traj, request=request, sens=sens)
 
 
-def integrate_augmented(model: ModelSpec, theta: Array, grid: TimeGrid, check: bool = True) -> Array:
+def _stages(rhs, t: float, h: float, x: list, params: list, advance: bool = True):
+    """The stage states [x, x2, x3, x4] of one Ralston step from x and, with
+    ``advance``, the state at the end of the step (else None, and the last
+    slope is never evaluated).  Component lists of floats or same-shape
+    arrays, in the operation order of ``integrate``."""
+    k1 = rhs(t, x, params)
+    a21 = h * A21
+    x2 = [xi + a21 * a for xi, a in zip(x, k1)]
+    k2 = rhs(t + C2 * h, x2, params)
+    x3 = [xi + h * (A31 * a + A32 * b) for xi, a, b in zip(x, k1, k2)]
+    k3 = rhs(t + C3 * h, x3, params)
+    x4 = [xi + h * (A41 * a + A42 * b + A43 * c) for xi, a, b, c in zip(x, k1, k2, k3)]
+    if not advance:
+        return (x, x2, x3, x4), None
+    k4 = rhs(t + h, x4, params)
+    x_next = [
+        xi + h * (B1 * a + B2 * b + B3 * c + B4 * e) for xi, a, b, c, e in zip(x, k1, k2, k3, k4)
+    ]
+    return (x, x2, x3, x4), x_next
+
+
+def integrate_augmented(model: ModelSpec, theta: Array, grid: TimeGrid) -> Array:
     """Physical-state trajectory of the augmented system started at theta.
 
     The parameter block of the augmented state never changes, so only the
     physical block is stepped (bitwise identical to the corresponding rows
-    of ``integrate`` on the full augmented system).  ``theta`` may carry
-    leading batch dimensions; returns states of shape (n_nodes, ..., d).
+    of ``integrate`` on the full augmented system).  A 1-D theta raises
+    ``DivergenceError`` at the first non-finite state, a division by zero
+    included.  A batch of shape (..., q) is never checked: non-finite values
+    propagate so the caller can mask them.  One trajectory (a 1-D theta or a
+    batch of one) runs on Python floats, a larger batch on one array per
+    component; both give the same bits.  Returns states of shape
+    (n_nodes, ..., d).
     """
     global _step_count
     theta = np.asarray(theta, dtype=float)
     d = model.d
-    x = theta[..., :d].copy()
-    params = theta[..., d:]
+    check = theta.ndim == 1
     if check and not np.all(np.isfinite(theta)):
         raise DivergenceError(0, grid.t0)
+    floats = theta.size == theta.shape[-1]
+    comps = theta.ravel().tolist() if floats else list(np.moveaxis(theta, -1, 0))
+    x, params = comps[:d], comps[d:]
     rhs = model.rhs
-    nodes = grid.nodes
-    states = np.empty((len(nodes),) + x.shape)
-    states[0] = x
+    nodes = grid.nodes.tolist()
+    # node-major and flat; a float trajectory is stored as raw doubles
+    states = array("d", x) if floats else list(x)
     with np.errstate(all="ignore"):
         for j in range(len(nodes) - 1):
             t, h = nodes[j], nodes[j + 1] - nodes[j]
-            k1 = rhs(t, x, params)
-            k2 = rhs(t + C2 * h, x + (h * A21) * k1, params)
-            k3 = rhs(t + C3 * h, x + h * (A31 * k1 + A32 * k2), params)
-            k4 = rhs(t + h, x + h * (A41 * k1 + A42 * k2 + A43 * k3), params)
-            x = x + h * (B1 * k1 + B2 * k2 + B3 * k3 + B4 * k4)
+            try:
+                _, x = _stages(rhs, t, h, x, params)
+            except ZeroDivisionError:
+                x = [math.nan] * d
             _step_count += 1
-            if check and not np.all(np.isfinite(x)):
-                raise DivergenceError(j + 1, float(nodes[j + 1]))
-            states[j + 1] = x
-    return states
+            if check and not all(map(math.isfinite, x)):
+                raise DivergenceError(j + 1, nodes[j + 1])
+            states.extend(x)
+    if floats:
+        return np.array(states).reshape((len(nodes),) + theta.shape[:-1] + (d,))
+    return np.moveaxis(np.array(states).reshape((len(nodes), d) + theta.shape[:-1]), 1, -1)
 
 
 def integrate_augmented_sensitivity(
@@ -323,29 +360,28 @@ def integrate_augmented_sensitivity(
 
     The lower (parameter) rows of the augmented sensitivity stay [0 I]
     forever, so only the top d x q block is propagated; its stage slopes are
-    f_x S + [0 | f_p] evaluated at the state stages.  Returns
-    (states (n_nodes, d), request, sens_top (len(request), d, q)), where
-    sens_top rows match ``integrate_with_sensitivity`` on the augmented
-    system.
+    f_x S + [0 | f_p] evaluated at the state stages.  The state runs on
+    Python floats, the d x q block as an array.  Returns (states
+    (n_nodes, d), request, sens_top (len(request), d, q)), where sens_top
+    rows match ``integrate_with_sensitivity`` on the augmented system.
     """
     global _step_count
     theta = np.asarray(theta, dtype=float)
     d, q = model.d, model.q
-    x = theta[:d].copy()
-    params = theta[d:]
+    comps = theta.tolist()
+    x, params = comps[:d], comps[d:]
     rhs, jac_x, jac_p = model.rhs, model.jac_x, model.jac_p
     request = np.unique(np.asarray(request_nodes, dtype=int))
     if request.size and (request[0] < 0 or request[-1] > grid.n_steps):
         raise ValueError("requested nodes outside the grid")
 
-    def slope(t_s: float, x_s: Array, s_s: Array) -> Array:
-        kk = jac_x(t_s, x_s, params) @ s_s
-        kk[:, d:] += jac_p(t_s, x_s, params)
+    def slope(t_s: float, x_s: list, s_s: Array) -> Array:
+        kk = np.array(jac_x(t_s, x_s, params)) @ s_s
+        kk[:, d:] += np.array(jac_p(t_s, x_s, params))
         return kk
 
-    nodes = grid.nodes
-    states = np.empty((len(nodes), d))
-    states[0] = x
+    nodes = grid.nodes.tolist()
+    states = array("d", x)  # node-major, flat
     s = np.zeros((d, q))
     s[:, :d] = np.eye(d)
     sens = np.empty((len(request), d, q))
@@ -356,72 +392,83 @@ def integrate_augmented_sensitivity(
     with np.errstate(all="ignore"):
         for j in range(len(nodes) - 1):
             t, h = nodes[j], nodes[j + 1] - nodes[j]
-            k1 = rhs(t, x, params)
-            kk1 = slope(t, x, s)
-            x2 = x + (h * A21) * k1
-            k2 = rhs(t + C2 * h, x2, params)
-            kk2 = slope(t + C2 * h, x2, s + (h * A21) * kk1)
-            x3 = x + h * (A31 * k1 + A32 * k2)
-            k3 = rhs(t + C3 * h, x3, params)
-            kk3 = slope(t + C3 * h, x3, s + h * (A31 * kk1 + A32 * kk2))
-            x4 = x + h * (A41 * k1 + A42 * k2 + A43 * k3)
-            k4 = rhs(t + h, x4, params)
-            kk4 = slope(t + h, x4, s + h * (A41 * kk1 + A42 * kk2 + A43 * kk3))
-            x = x + h * (B1 * k1 + B2 * k2 + B3 * k3 + B4 * k4)
-            s = s + h * (B1 * kk1 + B2 * kk2 + B3 * kk3 + B4 * kk4)
+            try:
+                (x1, x2, x3, x4), x_next = _stages(rhs, t, h, x, params)
+                kk1 = slope(t, x1, s)
+                kk2 = slope(t + C2 * h, x2, s + (h * A21) * kk1)
+                kk3 = slope(t + C3 * h, x3, s + h * (A31 * kk1 + A32 * kk2))
+                kk4 = slope(t + h, x4, s + h * (A41 * kk1 + A42 * kk2 + A43 * kk3))
+            except ZeroDivisionError:
+                x_next = [math.nan] * d
+            x = x_next
             _step_count += 1
-            if not np.all(np.isfinite(x)):
-                raise DivergenceError(j + 1, float(nodes[j + 1]))
-            states[j + 1] = x
+            if not all(map(math.isfinite, x)):
+                raise DivergenceError(j + 1, nodes[j + 1])
+            s = s + h * (B1 * kk1 + B2 * kk2 + B3 * kk3 + B4 * kk4)
+            states.extend(x)
             if pos < len(request) and request[pos] == j + 1:
                 sens[pos] = s
                 pos += 1
-    return states, request, sens
+    return np.array(states).reshape(-1, d), request, sens
 
 
-def integrate_adjoint(system, traj: Trajectory, impulses: dict[int, Array]) -> Array:
-    """Backward sweep of the adjoint variable from t_end to t0.
+def integrate_adjoint(
+    model: ModelSpec, theta: Array, grid: TimeGrid, states: Array, impulses: dict[int, Array]
+) -> Array:
+    """Backward sweep of the discrete adjoint on the physical block.
 
-    Starts from zero at the final node and, at each node carrying an impulse
-    (keyed by node index), adds the impulse after arriving at the node and
-    before departing toward the previous one.  Each backward step transposes
-    the forward stage recursion, re-running the forward stages of that step
-    to recover the intra-step states.  Returns the adjoint at t0.
+    ``states`` are the (n_nodes, d) states of ``integrate_augmented`` from
+    theta and ``impulses`` maps node indices to d-vectors g_j; returns the
+    (q,) gradient of sum_j g_j . x_j with respect to theta.  The adjoint is
+    a costate lambda (d) plus a parameter accumulator mu (p), zero at the
+    final node; an impulse is added to lambda after arriving at its node.
+    Each backward step re-runs the forward stages of that step and
+    transposes the stage recursion, the stage Jacobian [f_x | f_p] mapping
+    lambda weights into both blocks.
     """
     global _step_count
-    rhs, jac = system.rhs, system.jac
-    nodes = traj.grid.nodes
+    theta = np.asarray(theta, dtype=float)
+    d = model.d
+    rhs, jac_x, jac_p = model.rhs, model.jac_x, model.jac_p
+    nodes = grid.nodes.tolist()
     n_nodes = len(nodes)
-    q = traj.states.shape[-1]
     for key in impulses:
         if not 0 <= key < n_nodes:
             raise ValueError(f"impulse node {key} is not a grid node index")
+    params = theta[d:].tolist()
+    xs = np.asarray(states, dtype=float).ravel().tolist()
 
-    chi = np.zeros(q)
-    last = n_nodes - 1
-    if last in impulses:
-        chi = chi + impulses[last]
-    with np.errstate(all="ignore"):
-        for j in range(n_nodes - 2, -1, -1):
-            t, h = nodes[j], nodes[j + 1] - nodes[j]
-            z1 = traj.states[j]
-            k1 = rhs(t, z1)
-            z2 = z1 + (h * A21) * k1
-            k2 = rhs(t + C2 * h, z2)
-            z3 = z1 + h * (A31 * k1 + A32 * k2)
-            k3 = rhs(t + C3 * h, z3)
-            z4 = z1 + h * (A41 * k1 + A42 * k2 + A43 * k3)
+    def kick(chi: list, g: Array) -> None:
+        chi[:d] = [c + e for c, e in zip(chi, np.asarray(g, dtype=float).tolist())]
 
-            j4t = jac(t + h, z4).T
-            j3t = jac(t + C3 * h, z3).T
-            j2t = jac(t + C2 * h, z2).T
-            j1t = jac(t, z1).T
-            v4 = j4t @ ((h * B4) * chi)
-            v3 = j3t @ ((h * B3) * chi + (h * A43) * v4)
-            v2 = j2t @ ((h * B2) * chi + h * (A32 * v3 + A42 * v4))
-            v1 = j1t @ ((h * B1) * chi + h * (A21 * v2 + A31 * v3 + A41 * v4))
-            chi = chi + v1 + v2 + v3 + v4
+    def vjp(t_s: float, x_s: list, u: list) -> list:
+        # [f_x | f_p]' u, rows of the stage Jacobian weighted by u
+        rows = [rx + rp for rx, rp in zip(jac_x(t_s, x_s, params), jac_p(t_s, x_s, params))]
+        return [sum(map(mul, column, u)) for column in zip(*rows)]
+
+    chi = [0.0] * model.q  # (lambda, mu)
+    if n_nodes - 1 in impulses:
+        kick(chi, impulses[n_nodes - 1])
+    for j in range(n_nodes - 2, -1, -1):
+        t, h = nodes[j], nodes[j + 1] - nodes[j]
+        lam = chi[:d]
+        try:
+            x_j = xs[j * d : (j + 1) * d]
+            (x1, x2, x3, x4), _ = _stages(rhs, t, h, x_j, params, advance=False)
+            v4 = vjp(t + h, x4, [(h * B4) * c for c in lam])
+            v3 = vjp(t + C3 * h, x3, [(h * B3) * c + (h * A43) * e4 for c, e4 in zip(lam, v4)])
+            u2 = [(h * B2) * c + h * (A32 * e3 + A42 * e4) for c, e3, e4 in zip(lam, v3, v4)]
+            v2 = vjp(t + C2 * h, x2, u2)
+            u1 = [
+                (h * B1) * c + h * (A21 * e2 + A31 * e3 + A41 * e4)
+                for c, e2, e3, e4 in zip(lam, v2, v3, v4)
+            ]
+            v1 = vjp(t, x1, u1)
+        except ZeroDivisionError:
             _step_count += 1
-            if j in impulses:
-                chi = chi + impulses[j]
-    return chi
+            raise DivergenceError(j + 1, nodes[j + 1]) from None
+        chi = [c + e1 + e2 + e3 + e4 for c, e1, e2, e3, e4 in zip(chi, v1, v2, v3, v4)]
+        _step_count += 1
+        if j in impulses:
+            kick(chi, impulses[j])
+    return np.array(chi)

@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .dynamics import ModelSpec, augment
+from .dynamics import ModelSpec
 from .integrate import (
     TimeGrid,
     grid_from_times,
-    integrate,
     integrate_adjoint,
     integrate_augmented,
     integrate_augmented_sensitivity,
@@ -235,7 +234,7 @@ def objective_many(model: ModelSpec, thetas: Array, data: ObservationSet, grid: 
     trajectories yield NaN entries instead of raising.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    states = integrate_augmented(model, thetas, grid, check=False)
+    states = integrate_augmented(model, thetas, grid)
     idx = grid.node_index(data.times)
     x_obs = states[idx]  # (N, K, d)
     with np.errstate(all="ignore"):
@@ -261,9 +260,9 @@ def gradient(
     """Objective value and its gradient with respect to theta.
 
     mode "forward" contracts every observation's loss gradient with the
-    propagated sensitivity of the physical state; mode "adjoint" lifts the
-    same vectors into the augmented space and injects them as impulses into
-    one backward sweep.  The two agree to roundoff.
+    propagated sensitivity of the physical state; mode "adjoint" injects the
+    same vectors as impulses into one backward sweep of the physical-block
+    adjoint.  The two agree to roundoff.
     """
     if mode not in DERIVATIVE_MODES:
         raise ValueError(f"unknown gradient mode {mode!r}")
@@ -273,20 +272,15 @@ def gradient(
 
     if mode == "forward":
         states, _, sens_top = integrate_augmented_sensitivity(model, theta, grid, uniq_nodes)
-        x_obs = states[idx]
-        grads_x = _weighted_loss_grads(data, x_obs)
-        per_node = np.zeros((len(uniq_nodes), model.d))
-        np.add.at(per_node, inv, grads_x)
+    else:
+        states = integrate_augmented(model, theta, grid)
+    x_obs = states[idx]
+    per_node = np.zeros((len(uniq_nodes), model.d))
+    np.add.at(per_node, inv, _weighted_loss_grads(data, x_obs))
+    if mode == "forward":
         grad = np.einsum("riq,ri->q", sens_top, per_node)
     else:
-        system = augment(model)
-        traj = integrate(system, theta, grid)
-        x_obs = traj.states[idx][:, : model.d]
-        grads_x = _weighted_loss_grads(data, x_obs)
-        per_node = np.zeros((len(uniq_nodes), model.q))
-        np.add.at(per_node[:, : model.d], inv, grads_x)
-        impulses = {int(node): per_node[r] for r, node in enumerate(uniq_nodes)}
-        grad = integrate_adjoint(system, traj, impulses)
+        grad = integrate_adjoint(model, theta, grid, states, dict(zip(uniq_nodes.tolist(), per_node)))
 
     value = float(np.sum(_loss_values(data, x_obs)))
     return GradientEvaluation(value=value, grad=grad, n_terms=len(data))

@@ -151,6 +151,57 @@ gtol = 1e-2
     assert "terminated_by" in meta and "solver = gn" in meta
 
 
+def test_solve_meta_records_the_modify_fraction(tmp_path):
+    path = write_config(
+        tmp_path,
+        SMALL_FN
+        + """
+[modify]
+scheme = systematic_random
+potp = 0.1
+
+[solver]
+name = gd
+budget = 0
+max_iter = 2
+
+[reference]
+max_iter = 10
+gtol = 1e-2
+""",
+    )
+    out = tmp_path / "solve"
+    assert main(["solve", "--config", str(path), "--output-dir", str(out)]) == 0
+    meta = (out / "fitzhugh_nagumo_gd_systematic_random.meta").read_text().splitlines()
+    assert "potp = 0.1" in meta
+
+
+def test_default_kappa_follows_the_observation_period(tmp_path):
+    # FitzHugh-Nagumo's stride 50 is tuned at period 0.01; at period 0.05 the
+    # same coarse step 0.5 is stride 10 (stride 50 would step 2.5 and diverge)
+    body = (
+        SMALL_FN
+        + """
+[solver]
+name = sgd
+budget = 0
+max_iter = 20
+
+[reference]
+max_iter = 10
+gtol = 1e-2
+"""
+    )
+    path = write_config(tmp_path, body)
+    assert parse_config(path).solver_kappa == 10
+    out = tmp_path / "solve"
+    assert main(["solve", "--config", str(path), "--output-dir", str(out)]) == 0
+    meta = (out / "fitzhugh_nagumo_sgd_none.meta").read_text().splitlines()
+    assert "kappa = 10" in meta
+    iterations = next(int(line.split(" = ")[1]) for line in meta if line.startswith("iterations"))
+    assert iterations > 0
+
+
 def test_unknown_solver_exits_nonzero(tmp_path):
     path = write_config(tmp_path, SMALL_FN + "\n[solver]\nname = bfgs\n")
     out = tmp_path / "x"

@@ -22,12 +22,12 @@ def fd_jacobians(model, t, x, params, step=1e-6):
     for j in range(model.d):
         e = np.zeros(model.d)
         e[j] = step
-        fx[:, j] = (model.rhs(t, x + e, params) - model.rhs(t, x - e, params)) / (2 * step)
+        fx[:, j] = (eval_rhs(model, t, x + e, params) - eval_rhs(model, t, x - e, params)) / (2 * step)
     fp = np.empty((model.d, model.p))
     for j in range(model.p):
         e = np.zeros(model.p)
         e[j] = step
-        fp[:, j] = (model.rhs(t, x, params + e) - model.rhs(t, x, params - e)) / (2 * step)
+        fp[:, j] = (eval_rhs(model, t, x, params + e) - eval_rhs(model, t, x, params - e)) / (2 * step)
     return fx, fp
 
 
@@ -74,6 +74,24 @@ def test_jacobians_match_finite_differences(name):
         scale = max(1.0, np.max(np.abs(fx)), np.max(np.abs(fp)))
         assert np.max(np.abs(fx - fx_fd)) / scale <= 1e-5
         assert np.max(np.abs(fp - fp_fd)) / scale <= 1e-5
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_batched_evaluation_matches_float_evaluation_bitwise(name):
+    # the model functions use only + - * /, so every element of a batched
+    # evaluation equals the Python-float evaluation of its row
+    model = get_model(name)
+    rng = np.random.default_rng(29)
+    x = model.x0 + rng.uniform(-1.0, 1.0, (64, model.d))
+    params = model.params_ref * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, (64, model.p)))
+    f = eval_rhs(model, 0.3, x, params)
+    fx, fp = eval_jacobians(model, 0.3, x, params)
+    assert f.shape == (64, model.d) and fx.shape == (64, model.d, model.d)
+    assert fp.shape == (64, model.d, model.p)
+    for k in range(len(x)):
+        assert np.array_equal(f[k], eval_rhs(model, 0.3, x[k], params[k]))
+        fx_k, fp_k = eval_jacobians(model, 0.3, x[k], params[k])
+        assert np.array_equal(fx[k], fx_k) and np.array_equal(fp[k], fp_k)
 
 
 def test_rhs_is_deterministic():

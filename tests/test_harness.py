@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from hfda import harness
 from hfda.dynamics import fitzhugh_nagumo
 from hfda.harness import (
     CheckResult,
@@ -170,13 +172,27 @@ def test_run_checks_pass_on_healthy_models(small_config):
         assert r.passed, r.line()
 
 
+def test_reference_cache_from_an_older_format_is_not_read(small_config, tmp_path, monkeypatch):
+    config = dataclasses.replace(small_config, ref_max_iter=1)
+    model, data = build_data(config)
+    problem = build_problem(config, model, data)
+    monkeypatch.setattr(harness, "REFERENCE_FORMAT", harness.REFERENCE_FORMAT - 1)
+    old_key = harness._reference_key(config)
+    monkeypatch.undo()
+    assert old_key != harness._reference_key(config)
+    stale = {"key": old_key, "theta": [9.0] * model.q, "objective": 1.0, "model": config.model}
+    (tmp_path / f"reference_{old_key}.json").write_text(json.dumps(stale))
+    theta_hat, _ = reference_minimizer(config, problem, cache_dir=tmp_path)
+    assert not np.array_equal(theta_hat, stale["theta"])
+    assert (tmp_path / f"reference_{harness._reference_key(config)}.json").exists()
+
+
 def test_run_checks_catch_corrupted_jacobian(small_config):
     model = fitzhugh_nagumo()
 
     def bad_jac_x(t, x, params):
-        out = model.jac_x(t, x, params)
-        out[..., 0, 0] += 0.25
-        return out
+        (f00, f01), row1 = model.jac_x(t, x, params)
+        return (f00 + 0.25, f01), row1
 
     corrupted = dataclasses.replace(model, jac_x=bad_jac_x)
     disc = check_model_jacobians(corrupted, seed=3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hfda.dynamics import augment, fitzhugh_nagumo, get_model
+from hfda.dynamics import augment, fitzhugh_nagumo, get_model, linear_system
 from hfda.integrate import (
     DivergenceError,
     build_grid,
@@ -14,6 +14,8 @@ from hfda.integrate import (
     integrate_augmented,
     integrate_augmented_sensitivity,
     integrate_with_sensitivity,
+    reset_step_count,
+    step_count,
 )
 
 
@@ -163,6 +165,56 @@ def test_fast_augmented_path_matches_generic():
     assert np.array_equal(generic[:, : model.d], fast)
 
 
+def test_batched_state_pass_matches_single_runs_bitwise():
+    # component arrays and Python floats run the same + - * / sequence
+    model = fitzhugh_nagumo()
+    grid = build_grid((0.0, 10.0), 0.1, np.empty(0))
+    rng = np.random.default_rng(19)
+    thetas = model.theta_ref() * (1.0 + 0.05 * rng.standard_normal((5, model.q)))
+    batch = integrate_augmented(model, thetas, grid)
+    assert batch.shape == (len(grid.nodes), 5, model.d)
+    for k, theta in enumerate(thetas):
+        assert np.array_equal(batch[:, k], integrate_augmented(model, theta, grid))
+    one = integrate_augmented(model, thetas[:1], grid)
+    assert np.array_equal(one, batch[:, :1])
+
+
+def test_fast_paths_diverge_where_the_generic_oracle_does():
+    # at step 1.5 the reference FitzHugh-Nagumo trajectory blows up mid-span
+    model = fitzhugh_nagumo()
+    system = augment(model)
+    grid = build_grid(model.t_span, 1.5, np.empty(0))
+    theta = model.theta_ref()
+    end = [grid.n_steps]
+    runs = [
+        lambda: integrate(system, theta, grid),
+        lambda: integrate_augmented(model, theta, grid),
+        lambda: integrate_with_sensitivity(system, theta, grid, end),
+        lambda: integrate_augmented_sensitivity(model, theta, grid, end),
+    ]
+    outcomes = []
+    for run in runs:
+        reset_step_count()
+        with pytest.raises(DivergenceError) as err:
+            run()
+        outcomes.append((err.value.node_index, err.value.time, step_count()))
+    node, _, steps = outcomes[0]
+    assert 1 < node < grid.n_steps
+    assert steps == node
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
+def test_nonfinite_theta_diverges_at_node_zero():
+    model = fitzhugh_nagumo()
+    grid = build_grid((0.0, 5.0), 0.25, np.empty(0))
+    theta = model.theta_ref()
+    theta[3] = np.nan
+    reset_step_count()
+    with pytest.raises(DivergenceError) as err:
+        integrate_augmented(model, theta, grid)
+    assert (err.value.node_index, err.value.time, step_count()) == (0, 0.0, 0)
+
+
 # ---------------------------------------------------------------------------
 # forward sensitivity
 # ---------------------------------------------------------------------------
@@ -225,45 +277,48 @@ def test_augmented_sensitivity_is_top_block():
 
 def test_adjoint_no_impulses_is_zero():
     model = fitzhugh_nagumo()
-    system = augment(model)
     grid = build_grid((0.0, 5.0), 0.25, np.empty(0))
-    traj = integrate(system, model.theta_ref(), grid)
-    chi0 = integrate_adjoint(system, traj, {})
+    theta = model.theta_ref()
+    states = integrate_augmented(model, theta, grid)
+    chi0 = integrate_adjoint(model, theta, grid, states, {})
     assert np.array_equal(chi0, np.zeros(model.q))
 
 
 def test_adjoint_scalar_closed_form():
     a, t_end, g = 0.7, 1.0, 2.0
-    system = LinearSystem([[a]])
+    model = linear_system([[a]], [[0.0]], x0=[1.0], t_span=(0.0, t_end))
     grid = build_grid((0.0, t_end), t_end / 256, np.empty(0))
-    traj = integrate(system, np.array([1.0]), grid)
-    chi0 = integrate_adjoint(system, traj, {grid.n_steps: np.array([g])})
+    theta = np.array([1.0, 0.0])
+    states = integrate_augmented(model, theta, grid)
+    chi0 = integrate_adjoint(model, theta, grid, states, {grid.n_steps: np.array([g])})
     expected = np.exp(a * t_end) * g
     assert abs(chi0[0] - expected) / expected <= 1e-8
 
 
 def test_adjoint_transposes_forward_sensitivity():
-    # sum of X(t_i)' g_i computed forward must equal the backward sweep with
-    # the g_i injected as impulses
+    # sum of X(t_i)' g_i computed forward on the augmented system must equal
+    # the physical-block backward sweep with the g_i injected as impulses
     model = get_model("van_der_pol")
     system = augment(model)
     grid = build_grid((0.0, 6.0), 0.1, np.empty(0))
     theta = model.theta_ref() * 1.05
     rng = np.random.default_rng(23)
     nodes = sorted(rng.choice(np.arange(1, grid.n_steps + 1), size=9, replace=False))
-    impulses = {int(j): rng.standard_normal(model.q) for j in nodes}
+    impulses = {int(j): rng.standard_normal(model.d) for j in nodes}
 
     sens = integrate_with_sensitivity(system, theta, grid, nodes)
     forward = np.zeros(model.q)
     for j in nodes:
-        forward += sens.sens_at(j).T @ impulses[j]
-    backward = integrate_adjoint(system, sens.base, impulses)
+        forward += sens.sens_at(j)[: model.d].T @ impulses[j]
+    states = sens.base.states[:, : model.d]
+    backward = integrate_adjoint(model, theta, grid, states, impulses)
     assert np.linalg.norm(forward - backward) <= 1e-8 * (1.0 + np.linalg.norm(forward))
 
 
 def test_adjoint_impulse_on_invalid_node():
-    system = LinearSystem([[1.0]])
+    model = linear_system([[1.0]], [[0.0]], x0=[1.0], t_span=(0.0, 1.0))
     grid = build_grid((0.0, 1.0), 0.5, np.empty(0))
-    traj = integrate(system, np.array([1.0]), grid)
+    theta = np.array([1.0, 0.0])
+    states = integrate_augmented(model, theta, grid)
     with pytest.raises(ValueError):
-        integrate_adjoint(system, traj, {99: np.array([1.0])})
+        integrate_adjoint(model, theta, grid, states, {99: np.array([1.0])})

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hfda.dynamics import MODEL_NAMES, fitzhugh_nagumo, get_model
-from hfda.integrate import build_grid
+from hfda.integrate import DivergenceError, build_grid, reset_step_count, step_count
 from hfda.observe import (
     ObservationModel,
     ObservationSet,
@@ -16,10 +16,12 @@ from hfda.observe import (
     loss,
     loss_grad,
     objective,
+    objective_many,
     read_observations_csv,
     simulate_observations,
     write_observations_csv,
 )
+from hfda.optimize import Problem
 
 GOLDEN = Path(__file__).parent / "data" / "golden_fn_observations.csv"
 
@@ -224,6 +226,46 @@ def test_weights_scale_objective_terms(fn_small):
     v1 = objective(model, theta, data, problem.grid)
     v2 = objective(model, theta, doubled, problem.grid)
     assert np.isclose(v2, 2.0 * v1, rtol=1e-14)
+
+
+def test_zero_tau_diverges_at_the_first_node():
+    # tau = 0 divides by zero in the first stage; every entry point stops at
+    # node 1 after one counted step
+    model = fitzhugh_nagumo()
+    data = simulate_observations(model, model.params_ref, identity_observation(2, 0.1), 0.1, seed=3)
+    problem = Problem(model, data, h=1.0)
+    theta = model.theta_ref()
+    theta[5] = 0.0
+    runs = {
+        "objective": lambda: objective(model, theta, data, problem.grid),
+        "forward": lambda: gradient(model, theta, data, problem.grid, mode="forward"),
+        "adjoint": lambda: gradient(model, theta, data, problem.grid, mode="adjoint"),
+        "residual_system": lambda: problem.residual_system(theta),
+    }
+    for name, run in runs.items():
+        reset_step_count()
+        with pytest.raises(DivergenceError) as err:
+            run()
+        assert (err.value.node_index, err.value.time) == (1, data.times[0]), name
+        assert step_count() == 1, name
+
+
+def test_objective_many_masks_a_diverging_row():
+    # at step 1.5 the reference trajectory blows up mid-span; a smaller
+    # current ii keeps the second row finite
+    model = fitzhugh_nagumo()
+    times = 1.5 * np.arange(1, 34)
+    data = ObservationSet(times=times, values=np.zeros((len(times), 2)), model=identity_observation(2, 0.1))
+    grid = build_grid(model.t_span, 1.5, times)
+    diverging = model.theta_ref()
+    finite = model.theta_ref()
+    finite[2] = 0.2
+    with pytest.raises(DivergenceError):
+        objective(model, diverging, data, grid)
+    values = objective_many(model, np.array([diverging, finite]), data, grid)
+    assert np.isnan(values[0]) and np.isfinite(values[1])
+    assert np.isnan(objective_many(model, diverging[None], data, grid)[0])
+    assert np.isclose(values[1], objective(model, finite, data, grid), rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------------------
