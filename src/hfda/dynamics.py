@@ -103,13 +103,6 @@ class AugmentedSystem:
         jac[..., :d, d:] = fp
         return jac
 
-    def initial_state(self, theta: Array) -> Array:
-        """The augmented initial condition is the decision vector itself."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape[-1] != self.q:
-            raise ValueError(f"augmented state must have {self.q} components")
-        return theta
-
 
 def _components(model: ModelSpec, x: Array, params: Array) -> tuple[list, list, tuple]:
     """Component lists of (..., d) states and (..., p) parameters, and their

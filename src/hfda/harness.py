@@ -15,8 +15,9 @@ Reproduces two experiment shapes on regenerated synthetic data:
 All randomness flows from the experiment seed through named substreams
 (observation noise, scheme sampling, solver sampling, initial perturbation),
 derived as SeedSequence((seed, crc32(label))).  The unmodified-problem
-reference minimizer is computed once per configuration and cached on disk
-keyed by a hash of the fields it depends on and a cache-format version.
+reference minimizer is computed once per configuration and, if it
+converged, cached on disk keyed by a hash of the fields it depends on and a
+cache-format version.
 """
 from __future__ import annotations
 
@@ -261,8 +262,10 @@ def relative_error(objective_fn, theta_mod: Array, theta_nomod: Array) -> float:
 
 
 # Bumped whenever cached fits stop matching what a fresh fit would give
-# (for example after an integrator change moves trajectories at roundoff).
-REFERENCE_FORMAT = 2
+# (for example after an integrator change moves trajectories at roundoff)
+# or the cached payload changes (3: converged fits only, with their
+# termination cause and iteration count).
+REFERENCE_FORMAT = 3
 
 
 def _reference_key(config: ExperimentConfig) -> str:
@@ -286,7 +289,9 @@ def reference_minimizer(
     config: ExperimentConfig, problem: Problem, cache_dir: Path | None = None
 ) -> tuple[Array, float]:
     """Fit the unmodified problem once (GN from the reference state) and
-    cache (theta_hat, G(theta_hat)) under the configuration hash."""
+    cache (theta_hat, G(theta_hat)) under the configuration hash.  Only a
+    fit that ended ``converged`` is cached; any other fit is returned and
+    refit on the next call."""
     key = _reference_key(config)
     cache_path = None
     if cache_dir is not None:
@@ -306,13 +311,17 @@ def reference_minimizer(
     # evaluated through the batched path so replayed errors of theta_hat
     # itself are exactly zero
     g_ref = float(problem.objective_many(theta_hat[None])[0])
-    if cache_path is not None:
+    if cache_path is not None and trace.terminated_by == "converged":
+        payload = {
+            "key": key,
+            "theta": list(theta_hat),
+            "objective": g_ref,
+            "model": config.model,
+            "terminated_by": trace.terminated_by,
+            "iterations": trace.n_iterations,
+        }
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        cache_path.write_text(
-            json.dumps(
-                {"key": key, "theta": list(theta_hat), "objective": g_ref, "model": config.model}
-            )
-        )
+        cache_path.write_text(json.dumps(payload))
     return theta_hat, g_ref
 
 

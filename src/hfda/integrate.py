@@ -1,22 +1,20 @@
 """Fixed-step Ralston fourth-order Runge-Kutta integration.
 
-The generic entry points take any augmented system and are the reference
-oracles for the model path:
+There are three step loops.  The generic one, ``integrate``, advances any
+system over a ``TimeGrid`` and is the reference oracle for the model path;
+``integrate_with_sensitivity`` is ``integrate`` on the variational system,
+whose Jacobian is evaluated at the Runge-Kutta stage states, which makes the
+propagated matrix the exact derivative of the discrete flow map.
 
-* ``integrate`` advances an augmented system over a ``TimeGrid``.
-* ``integrate_with_sensitivity`` jointly advances the state and the q x q
-  derivative of the state with respect to the initial condition.  The
-  Jacobian is evaluated at the Runge-Kutta stage states, which makes the
-  propagated matrix the exact derivative of the discrete flow map.
-
-The model-path sweeps step only the physical block of a ``ModelSpec``, one
+The model-path loops step only the physical block of a ``ModelSpec``, one
 trajectory on Python floats (numpy's per-operation overhead would dominate
-on d-component arrays): ``integrate_augmented`` (states; a batch of theta
-runs on component arrays), ``integrate_augmented_sensitivity`` (states and
-the d x q tangent) and ``integrate_adjoint`` (the reverse sweep of the same
-discrete flow: it transposes the stage recursion step by step, re-running
-the forward stages to recover intra-step states, and adds impulse vectors
-at designated nodes on the earlier side of the node).
+on d-component arrays).  One forward loop serves ``integrate_augmented``
+(states; a batch of theta runs on component arrays) and
+``integrate_augmented_sensitivity`` (states and the d x q tangent, carried
+as one more component).  ``integrate_adjoint`` is the reverse sweep of the
+same discrete flow: it transposes the stage recursion step by step,
+re-running the forward stages to recover intra-step states, and adds
+impulse vectors at designated nodes on the earlier side of the node.
 
 Grids are built so that every observation time is exactly one of the nodes;
 integration never steps across an observation time.
@@ -203,19 +201,25 @@ def _rhs_of(system):
     return system if callable(system) else system.rhs
 
 
-def integrate(system, z0: Array, grid: TimeGrid, check: bool = True) -> Trajectory:
+def _request(request_nodes: Array, grid: TimeGrid) -> Array:
+    """Sorted, unique node indices; raises if one is not a node of the grid."""
+    request = np.unique(np.asarray(request_nodes, dtype=int))
+    if request.size and (request[0] < 0 or request[-1] > grid.n_steps):
+        raise ValueError("requested nodes outside the grid")
+    return request
+
+
+def integrate(system, z0: Array, grid: TimeGrid) -> Trajectory:
     """Advance z0 over the grid, one Ralston-RK4 step per node pair.
 
     ``system`` is either an object exposing ``rhs(t, z)`` or the rhs callable
-    itself.  ``z0`` may carry leading batch dimensions.  With ``check`` the
-    integration aborts with ``DivergenceError`` at the first non-finite
-    state; without it, non-finite values propagate (batched evaluation of
-    many initial conditions masks failures afterwards).
+    itself.  ``z0`` may carry leading batch dimensions.  The integration
+    aborts with ``DivergenceError`` at the first non-finite state.
     """
     global _step_count
     rhs = _rhs_of(system)
     z = np.asarray(z0, dtype=float)
-    if check and not np.all(np.isfinite(z)):
+    if not np.all(np.isfinite(z)):
         raise DivergenceError(0, grid.t0)
     nodes = grid.nodes
     states = np.empty((len(nodes),) + z.shape)
@@ -229,7 +233,7 @@ def integrate(system, z0: Array, grid: TimeGrid, check: bool = True) -> Trajecto
             k4 = rhs(t + h, z + h * (A41 * k1 + A42 * k2 + A43 * k3))
             z = z + h * (B1 * k1 + B2 * k2 + B3 * k3 + B4 * k4)
             _step_count += 1
-            if check and not np.all(np.isfinite(z)):
+            if not np.all(np.isfinite(z)):
                 raise DivergenceError(j + 1, float(nodes[j + 1]))
             states[j + 1] = z
     return Trajectory(grid=grid, states=states)
@@ -240,54 +244,24 @@ def integrate_with_sensitivity(
 ) -> SensitivityTrajectory:
     """Advance the state and its derivative with respect to z0 together.
 
-    The q x q matrix starts at the identity and is propagated through the
-    same stages as the state, with the Jacobian evaluated at each stage
-    state; the recorded matrices are therefore the exact derivatives of the
-    discrete flow.
+    This is ``integrate`` on the variational system (z, X)' = (F(z), J(z) X)
+    from (z0, I), X flattened into the state.  Runge-Kutta stages of that
+    system evaluate the Jacobian at the stage states of z, so the recorded
+    matrices are the exact derivatives of the discrete flow.  A non-finite
+    entry of z or X raises ``DivergenceError``.
     """
-    global _step_count
     rhs, jac = system.rhs, system.jac
-    z = np.asarray(z0, dtype=float)
-    q = z.shape[-1]
-    request = np.unique(np.asarray(request_nodes, dtype=int))
-    if request.size and (request[0] < 0 or request[-1] > grid.n_steps):
-        raise ValueError("requested nodes outside the grid")
+    z0 = np.asarray(z0, dtype=float)
+    q = z0.shape[-1]
+    request = _request(request_nodes, grid)
 
-    nodes = grid.nodes
-    states = np.empty((len(nodes), q))
-    states[0] = z
-    sens = np.empty((len(request), q, q))
-    x = np.eye(q)
-    pos = 0
-    if request.size and request[0] == 0:
-        sens[0] = x
-        pos = 1
-    with np.errstate(all="ignore"):
-        for j in range(len(nodes) - 1):
-            t, h = nodes[j], nodes[j + 1] - nodes[j]
-            z1 = z
-            k1 = rhs(t, z1)
-            kk1 = jac(t, z1) @ x
-            z2 = z + (h * A21) * k1
-            k2 = rhs(t + C2 * h, z2)
-            kk2 = jac(t + C2 * h, z2) @ (x + (h * A21) * kk1)
-            z3 = z + h * (A31 * k1 + A32 * k2)
-            k3 = rhs(t + C3 * h, z3)
-            kk3 = jac(t + C3 * h, z3) @ (x + h * (A31 * kk1 + A32 * kk2))
-            z4 = z + h * (A41 * k1 + A42 * k2 + A43 * k3)
-            k4 = rhs(t + h, z4)
-            kk4 = jac(t + h, z4) @ (x + h * (A41 * kk1 + A42 * kk2 + A43 * kk3))
-            z = z + h * (B1 * k1 + B2 * k2 + B3 * k3 + B4 * k4)
-            x = x + h * (B1 * kk1 + B2 * kk2 + B3 * kk3 + B4 * kk4)
-            _step_count += 1
-            if not np.all(np.isfinite(z)):
-                raise DivergenceError(j + 1, float(nodes[j + 1]))
-            states[j + 1] = z
-            if pos < len(request) and request[pos] == j + 1:
-                sens[pos] = x
-                pos += 1
-    traj = Trajectory(grid=grid, states=states)
-    return SensitivityTrajectory(base=traj, request=request, sens=sens)
+    def variational(t, y):
+        z = y[:q]
+        return np.concatenate([rhs(t, z), (jac(t, z) @ y[q:].reshape(q, q)).ravel()])
+
+    states = integrate(variational, np.concatenate([z0, np.eye(q).ravel()]), grid).states
+    sens = states[request, q:].reshape(-1, q, q)
+    return SensitivityTrajectory(Trajectory(grid, states[:, :q]), request, sens)
 
 
 def _stages(rhs, t: float, h: float, x: list, params: list, advance: bool = True):
@@ -311,6 +285,65 @@ def _stages(rhs, t: float, h: float, x: list, params: list, advance: bool = True
     return (x, x2, x3, x4), x_next
 
 
+def _sweep(model: ModelSpec, theta: Array, grid: TimeGrid, request: Array | None = None):
+    """(states, sens): the forward loop of ``integrate_augmented`` and
+    ``integrate_augmented_sensitivity``.  With ``request`` (1-D theta only)
+    the d x q tangent S rides along as one more component, its slope
+    f_x S + [0 | f_p] taken at the state stages, and is recorded at the
+    requested nodes; otherwise sens is None."""
+    global _step_count
+    theta = np.asarray(theta, dtype=float)
+    d, q = model.d, model.q
+    check = theta.ndim == 1
+    if check and not np.all(np.isfinite(theta)):
+        raise DivergenceError(0, grid.t0)
+    floats = theta.size == theta.shape[-1]
+    comps = theta.ravel().tolist() if floats else list(np.moveaxis(theta, -1, 0))
+    y, params = comps[:d], comps[d:]
+    # node-major and flat; a float trajectory is stored as raw doubles
+    states = array("d", y) if floats else list(y)
+    rhs, sens = model.rhs, None
+    pos = n_request = 0
+    if request is not None:
+        model_rhs, jac_x, jac_p = model.rhs, model.jac_x, model.jac_p
+
+        def rhs(t_s: float, y_s: list, params: list) -> tuple:
+            x_s = y_s[:d]
+            kk = np.array(jac_x(t_s, x_s, params)) @ y_s[d]
+            kk[:, d:] += np.array(jac_p(t_s, x_s, params))
+            return (*model_rhs(t_s, x_s, params), kk)
+
+        s = np.zeros((d, q))
+        s[:, :d] = np.eye(d)
+        y.append(s)
+        n_request = len(request)
+        sens = np.empty((n_request, d, q))
+        if n_request and request[0] == 0:
+            sens[0] = s
+            pos = 1
+    nodes = grid.nodes.tolist()
+    with np.errstate(all="ignore"):
+        for j in range(len(nodes) - 1):
+            t, h = nodes[j], nodes[j + 1] - nodes[j]
+            try:
+                _, y = _stages(rhs, t, h, y, params)
+            except ZeroDivisionError:
+                y = [math.nan] * d
+            _step_count += 1
+            x = y[:d]
+            if check and not all(map(math.isfinite, x)):
+                raise DivergenceError(j + 1, nodes[j + 1])
+            states.extend(x)
+            if pos < n_request and request[pos] == j + 1:
+                sens[pos] = y[d]
+                pos += 1
+    if floats:
+        states = np.array(states).reshape((len(nodes),) + theta.shape[:-1] + (d,))
+    else:
+        states = np.moveaxis(np.array(states).reshape((len(nodes), d) + theta.shape[:-1]), 1, -1)
+    return states, sens
+
+
 def integrate_augmented(model: ModelSpec, theta: Array, grid: TimeGrid) -> Array:
     """Physical-state trajectory of the augmented system started at theta.
 
@@ -324,33 +357,7 @@ def integrate_augmented(model: ModelSpec, theta: Array, grid: TimeGrid) -> Array
     component; both give the same bits.  Returns states of shape
     (n_nodes, ..., d).
     """
-    global _step_count
-    theta = np.asarray(theta, dtype=float)
-    d = model.d
-    check = theta.ndim == 1
-    if check and not np.all(np.isfinite(theta)):
-        raise DivergenceError(0, grid.t0)
-    floats = theta.size == theta.shape[-1]
-    comps = theta.ravel().tolist() if floats else list(np.moveaxis(theta, -1, 0))
-    x, params = comps[:d], comps[d:]
-    rhs = model.rhs
-    nodes = grid.nodes.tolist()
-    # node-major and flat; a float trajectory is stored as raw doubles
-    states = array("d", x) if floats else list(x)
-    with np.errstate(all="ignore"):
-        for j in range(len(nodes) - 1):
-            t, h = nodes[j], nodes[j + 1] - nodes[j]
-            try:
-                _, x = _stages(rhs, t, h, x, params)
-            except ZeroDivisionError:
-                x = [math.nan] * d
-            _step_count += 1
-            if check and not all(map(math.isfinite, x)):
-                raise DivergenceError(j + 1, nodes[j + 1])
-            states.extend(x)
-    if floats:
-        return np.array(states).reshape((len(nodes),) + theta.shape[:-1] + (d,))
-    return np.moveaxis(np.array(states).reshape((len(nodes), d) + theta.shape[:-1]), 1, -1)
+    return _sweep(model, theta, grid)[0]
 
 
 def integrate_augmented_sensitivity(
@@ -359,57 +366,14 @@ def integrate_augmented_sensitivity(
     """Physical states plus the physical rows of the flow derivative.
 
     The lower (parameter) rows of the augmented sensitivity stay [0 I]
-    forever, so only the top d x q block is propagated; its stage slopes are
-    f_x S + [0 | f_p] evaluated at the state stages.  The state runs on
-    Python floats, the d x q block as an array.  Returns (states
-    (n_nodes, d), request, sens_top (len(request), d, q)), where sens_top
-    rows match ``integrate_with_sensitivity`` on the augmented system.
+    forever, so only the top d x q block is propagated, as one more
+    component of the state sweep.  Returns (states (n_nodes, d), request,
+    sens_top (len(request), d, q)), where sens_top rows match
+    ``integrate_with_sensitivity`` on the augmented system.
     """
-    global _step_count
-    theta = np.asarray(theta, dtype=float)
-    d, q = model.d, model.q
-    comps = theta.tolist()
-    x, params = comps[:d], comps[d:]
-    rhs, jac_x, jac_p = model.rhs, model.jac_x, model.jac_p
-    request = np.unique(np.asarray(request_nodes, dtype=int))
-    if request.size and (request[0] < 0 or request[-1] > grid.n_steps):
-        raise ValueError("requested nodes outside the grid")
-
-    def slope(t_s: float, x_s: list, s_s: Array) -> Array:
-        kk = np.array(jac_x(t_s, x_s, params)) @ s_s
-        kk[:, d:] += np.array(jac_p(t_s, x_s, params))
-        return kk
-
-    nodes = grid.nodes.tolist()
-    states = array("d", x)  # node-major, flat
-    s = np.zeros((d, q))
-    s[:, :d] = np.eye(d)
-    sens = np.empty((len(request), d, q))
-    pos = 0
-    if request.size and request[0] == 0:
-        sens[0] = s
-        pos = 1
-    with np.errstate(all="ignore"):
-        for j in range(len(nodes) - 1):
-            t, h = nodes[j], nodes[j + 1] - nodes[j]
-            try:
-                (x1, x2, x3, x4), x_next = _stages(rhs, t, h, x, params)
-                kk1 = slope(t, x1, s)
-                kk2 = slope(t + C2 * h, x2, s + (h * A21) * kk1)
-                kk3 = slope(t + C3 * h, x3, s + h * (A31 * kk1 + A32 * kk2))
-                kk4 = slope(t + h, x4, s + h * (A41 * kk1 + A42 * kk2 + A43 * kk3))
-            except ZeroDivisionError:
-                x_next = [math.nan] * d
-            x = x_next
-            _step_count += 1
-            if not all(map(math.isfinite, x)):
-                raise DivergenceError(j + 1, nodes[j + 1])
-            s = s + h * (B1 * kk1 + B2 * kk2 + B3 * kk3 + B4 * kk4)
-            states.extend(x)
-            if pos < len(request) and request[pos] == j + 1:
-                sens[pos] = s
-                pos += 1
-    return np.array(states).reshape(-1, d), request, sens
+    request = _request(request_nodes, grid)
+    states, sens = _sweep(model, theta, grid, request)
+    return states, request, sens
 
 
 def integrate_adjoint(

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .dynamics import ModelSpec
 from .integrate import TimeGrid, integrate_augmented_sensitivity
@@ -162,10 +163,6 @@ class ResidualSystem:
     def n_rows(self) -> int:
         return len(self.r)
 
-    @property
-    def block_size(self) -> int:
-        return self.w_inv_blocks.shape[1]
-
     def w_inv_apply(self, v: Array) -> Array:
         """W^-1 v for a stacked vector or matrix of row dimension n_rows."""
         m, n = self.w_inv_blocks.shape[:2]
@@ -174,19 +171,11 @@ class ResidualSystem:
 
     @property
     def w_inv(self) -> Array:
-        m, n = self.w_inv_blocks.shape[:2]
-        out = np.zeros((m * n, m * n))
-        for s in range(m):
-            out[s * n : (s + 1) * n, s * n : (s + 1) * n] = self.w_inv_blocks[s]
-        return out
+        return block_diag(*self.w_inv_blocks)
 
     @property
     def w(self) -> Array:
-        m, n = self.w_inv_blocks.shape[:2]
-        out = np.zeros((m * n, m * n))
-        for s in range(m):
-            out[s * n : (s + 1) * n, s * n : (s + 1) * n] = np.linalg.inv(self.w_inv_blocks[s])
-        return out
+        return block_diag(*np.linalg.inv(self.w_inv_blocks))
 
 
 def residual_system(

@@ -132,15 +132,6 @@ def test_augmented_parameter_block_is_zero(name):
         assert np.array_equal(jac[: model.d, model.d :], fp)
 
 
-def test_augmented_initial_state_is_theta():
-    model = fitzhugh_nagumo()
-    system = augment(model)
-    theta = model.theta_ref()
-    assert np.array_equal(system.initial_state(theta), theta)
-    with pytest.raises(ValueError):
-        system.initial_state(np.zeros(5))
-
-
 def test_registry_lookup():
     for name in MODEL_NAMES:
         assert get_model(name).name == name

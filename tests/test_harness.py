@@ -173,7 +173,7 @@ def test_run_checks_pass_on_healthy_models(small_config):
 
 
 def test_reference_cache_from_an_older_format_is_not_read(small_config, tmp_path, monkeypatch):
-    config = dataclasses.replace(small_config, ref_max_iter=1)
+    config = small_config  # a fit that converges, so the new format is written
     model, data = build_data(config)
     problem = build_problem(config, model, data)
     monkeypatch.setattr(harness, "REFERENCE_FORMAT", harness.REFERENCE_FORMAT - 1)
@@ -185,6 +185,21 @@ def test_reference_cache_from_an_older_format_is_not_read(small_config, tmp_path
     theta_hat, _ = reference_minimizer(config, problem, cache_dir=tmp_path)
     assert not np.array_equal(theta_hat, stale["theta"])
     assert (tmp_path / f"reference_{harness._reference_key(config)}.json").exists()
+
+
+def test_reference_cache_holds_converged_fits_only(small_config, tmp_path):
+    model, data = build_data(small_config)
+    problem = build_problem(small_config, model, data)
+    capped = dataclasses.replace(small_config, ref_max_iter=1)
+    theta_hat, g_ref = reference_minimizer(capped, problem, cache_dir=tmp_path)
+    assert theta_hat.shape == (model.q,) and np.isfinite(g_ref)
+    assert not list(tmp_path.glob("reference_*.json"))
+
+    reference_minimizer(small_config, problem, cache_dir=tmp_path)
+    (cache,) = tmp_path.glob("reference_*.json")
+    payload = json.loads(cache.read_text())
+    assert payload["terminated_by"] == "converged"
+    assert 1 <= payload["iterations"] <= small_config.ref_max_iter
 
 
 def test_run_checks_catch_corrupted_jacobian(small_config):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -268,6 +271,75 @@ def test_augmented_sensitivity_is_top_block():
     for pos, node in enumerate(request):
         assert np.array_equal(full.sens_at(node)[: model.d], top[pos])
     assert np.array_equal(full.base.states[:, : model.d], states)
+
+
+def test_sensitivity_requests_are_sorted_unique_grid_nodes():
+    model = get_model("lotka_volterra")
+    system = augment(model)
+    grid = build_grid((0.0, 4.0), 0.2, np.empty(0))
+    theta = model.theta_ref()
+    n = grid.n_steps
+
+    def generic(nodes):
+        sens = integrate_with_sensitivity(system, theta, grid, nodes)
+        return sens.request, sens.sens
+
+    def fast(nodes):
+        _, request, sens = integrate_augmented_sensitivity(model, theta, grid, nodes)
+        return request, sens
+
+    for sweep in (generic, fast):
+        request, sens = sweep([n, 7, 0, 7])
+        sorted_request, sorted_sens = sweep([0, 7, n])
+        assert np.array_equal(request, [0, 7, n])
+        assert np.array_equal(request, sorted_request)
+        assert np.array_equal(sens, sorted_sens)
+        for outside in ([-1], [n + 1]):
+            with pytest.raises(ValueError):
+                sweep(outside)
+
+
+# ---------------------------------------------------------------------------
+# model calls per step
+# ---------------------------------------------------------------------------
+
+
+def test_model_calls_per_step():
+    # the work the benchmark's dynamics.*_calls counters measure
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    base = fitzhugh_nagumo()
+    model = dataclasses.replace(
+        base,
+        rhs=counted("rhs", base.rhs),
+        jac_x=counted("jac", base.jac_x),
+        jac_p=counted("jac", base.jac_p),
+    )
+    grid = build_grid((0.0, 5.0), 0.25, np.empty(0))
+    n = grid.n_steps
+    theta = model.theta_ref()
+    states = integrate_augmented(model, theta, grid)
+    sweeps = {
+        "state": (lambda: integrate_augmented(model, theta, grid), 4, 0),
+        "batch": (lambda: integrate_augmented(model, np.stack([theta, 1.01 * theta]), grid), 4, 0),
+        "sensitivity": (lambda: integrate_augmented_sensitivity(model, theta, grid, [n]), 4, 8),
+        "adjoint": (
+            lambda: integrate_adjoint(model, theta, grid, states, {n: np.ones(model.d)}),
+            3,
+            8,
+        ),
+    }
+    for name, (sweep, rhs_per_step, jac_per_step) in sweeps.items():
+        counts.clear()
+        sweep()
+        assert (counts["rhs"], counts["jac"]) == (rhs_per_step * n, jac_per_step * n), name
 
 
 # ---------------------------------------------------------------------------
