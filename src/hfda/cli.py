@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 
 from . import harness, observe
+from .dynamics import MODEL_NAMES
 from .harness import SOLVER_NAMES, THETA0_POLICIES, ExperimentConfig
 from .modify import SCHEME_KINDS
 from .observe import DERIVATIVE_MODES
@@ -47,8 +48,15 @@ def _to_optional_int(raw: str):
     return None if raw.strip().lower() in ("", "auto", "none") else int(raw)
 
 
-def _to_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip())
+def _to_floats(raw: str, convert=float) -> tuple[float, ...]:
+    return tuple(convert(tok) for tok in raw.replace(";", ",").split(",") if tok.strip())
+
+
+def _fraction(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"must lie in (0, 1], got {raw.strip()!r}")
+    return value
 
 
 def _choice(options: tuple[str, ...]):
@@ -77,17 +85,17 @@ def _positive(convert):
 
 # (section, key) -> (ExperimentConfig attribute, converter)
 _SCHEMA = {
-    ("experiment", "model"): ("model", str),
-    ("experiment", "h"): ("h", float),
+    ("experiment", "model"): ("model", _choice(MODEL_NAMES)),
+    ("experiment", "h"): ("h", _positive(float)),
     ("experiment", "seed"): ("seed", int),
     ("experiment", "output_dir"): ("output_dir", str),
     ("experiment", "estimate_x0"): ("estimate_x0", _to_bool),
     ("experiment", "mode"): ("mode", _choice(DERIVATIVE_MODES)),
-    ("observation", "period"): ("obs_period", float),
-    ("observation", "sigma"): ("obs_sigma", float),
+    ("observation", "period"): ("obs_period", _positive(float)),
+    ("observation", "sigma"): ("obs_sigma", _positive(float)),
     ("observation", "seed"): ("obs_seed", int),
-    ("modify", "scheme"): ("modify_scheme", str),
-    ("modify", "potp"): ("modify_potp", float),
+    ("modify", "scheme"): ("modify_scheme", _choice(("none",) + SCHEME_KINDS)),
+    ("modify", "potp"): ("modify_potp", _fraction),
     ("modify", "seed"): ("modify_seed", int),
     ("modify", "reweight"): ("modify_reweight", _to_bool),
     ("solver", "name"): ("solver_name", _choice(SOLVER_NAMES)),
@@ -109,10 +117,10 @@ _SCHEMA = {
     ("solver", "theta0_seed"): ("theta0_seed", int),
     ("solver", "theta0_values"): ("theta0_values", _to_floats),
     ("race", "budget"): ("race_budget", float),
-    ("race", "potp"): ("race_potp", float),
+    ("race", "potp"): ("race_potp", _fraction),
     ("race", "max_iter"): ("race_max_iter", int),
     ("race", "record_every"): ("race_record_every", int),
-    ("table1", "potps"): ("table1_potps", _to_floats),
+    ("table1", "potps"): ("table1_potps", lambda raw: _to_floats(raw, _fraction)),
     ("table1", "max_iter"): ("table1_max_iter", int),
     ("table1", "gtol"): ("table1_gtol", float),
     ("reference", "max_iter"): ("ref_max_iter", int),
@@ -125,8 +133,8 @@ class ConfigError(ValueError):
 
 
 def parse_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
-    """Read a sectioned key=value file, apply dotted-key overrides, and
-    build the experiment configuration with model defaults filled in."""
+    """Read a sectioned key=value file, apply dotted-key overrides in order
+    and build the configuration; a bad value fails here, naming its key."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
@@ -137,33 +145,30 @@ def parse_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
-    kwargs = {}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            try:
-                attr, conv = _SCHEMA[(section, key)]
-            except KeyError:
-                raise ConfigError(f"unknown config key [{section}] {key}") from None
-            try:
-                kwargs[attr] = conv(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for [{section}] {key}: {exc}") from None
-
+    items = [
+        (section, key, raw, f"config key [{section}] {key}")
+        for section in parser.sections()
+        for key, raw in parser.items(section)
+    ]
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
-        dotted, raw = item.split("=", 1)
+        dotted, raw = (part.strip() for part in item.split("=", 1))
         if "." not in dotted:
             raise ConfigError(f"override key {dotted!r} is not of the form section.key")
-        section, key = dotted.strip().split(".", 1)
+        section, key = (part.strip() for part in dotted.split(".", 1))
+        items.append((section, key, raw, f"override key {dotted}"))
+
+    kwargs = {}
+    for section, key, raw, name in items:
         try:
-            attr, conv = _SCHEMA[(section.strip(), key.strip())]
+            attr, conv = _SCHEMA[(section, key)]
         except KeyError:
-            raise ConfigError(f"unknown override key {dotted.strip()!r}") from None
+            raise ConfigError(f"unknown {name}") from None
         try:
-            kwargs[attr] = conv(raw.strip())
+            kwargs[attr] = conv(raw)
         except ValueError as exc:
-            raise ConfigError(f"bad value for override {dotted.strip()}: {exc}") from None
+            raise ConfigError(f"bad value for {name}: {exc}") from None
 
     if "model" not in kwargs:
         raise ConfigError("config must set [experiment] model")
@@ -209,13 +214,7 @@ def cmd_modify(config: ExperimentConfig) -> int:
     if config.modify_scheme == "none":
         raise ConfigError("modify requires [modify] scheme (or --modify)")
     model, data = harness.build_data(config)
-    seed = config.stream(
-        f"modify/{config.modify_scheme}/{config.modify_potp}", config.modify_seed
-    )
-    scheme = harness.make_scheme(
-        config.modify_scheme, model.t_span, config.obs_period, config.modify_potp, seed
-    )
-    modified = scheme.apply(data)
+    modified = harness.modify_data(config, model, data, config.modify_scheme, config.modify_potp)
     out = _out_dir(config)
     csv_path = out / f"{config.model}_{config.modify_scheme}_observations.csv"
     observe.write_observations_csv(modified, csv_path)
@@ -227,48 +226,16 @@ def cmd_modify(config: ExperimentConfig) -> int:
 
 
 def cmd_solve(config: ExperimentConfig) -> int:
-    model, data = harness.build_data(config)
-    problem = harness.build_problem(config, model, data)
-    seed = config.stream(
-        f"modify/{config.modify_scheme}/{config.modify_potp}", config.modify_seed
-    )
-    prob_run = harness.build_problem(
-        config, model, data, config.modify_scheme, config.modify_potp, seed
-    )
-    out = _out_dir(config)
-    theta_hat, g_ref = harness.reference_minimizer(config, problem, cache_dir=out)
-    theta0 = harness.resolve_theta0(config, model)
-
-    name = config.solver_name
-    trace, hyper = harness.run_solver(
-        config,
-        name,
-        prob_run,
-        theta0,
-        n_full=len(data),
-        potp=config.modify_potp,
-        budget=config.solver_budget,
-        max_iter=config.solver_max_iter,
+    name, scheme = config.solver_name, config.modify_scheme
+    run = harness.run_one(
+        config, harness.prepare_baseline(config), f"{name}_{scheme}", name, scheme,
+        config.modify_potp, budget=config.solver_budget, max_iter=config.solver_max_iter,
         record_every=config.solver_record_every,
     )
-    times, errors = harness.replay_trace(trace, problem, theta_hat)
-    label = f"{name}_{config.modify_scheme}"
-    run = harness.RaceRun(
-        label=label,
-        solver=name,
-        scheme=config.modify_scheme,
-        trace=trace,
-        times=times,
-        errors=errors,
-        dropped_records=len(trace) - len(times),
-        hyper=hyper,
-    )
-    csv_path = out / f"{config.model}_{label}.csv"
-    harness.write_trace_csv(run, csv_path)
-    harness._write_run_metadata(config, run, config.modify_potp, out / f"{config.model}_{label}.meta")
+    csv_path = harness.write_run(config, run)
     print(
-        f"solve: {name} on {config.model}/{config.modify_scheme} finished by "
-        f"{trace.terminated_by} after {trace.n_iterations} iterations, "
+        f"solve: {name} on {config.model}/{scheme} finished by "
+        f"{run.trace.terminated_by} after {run.trace.n_iterations} iterations, "
         f"final error {run.final_error:.3e} -> {csv_path}"
     )
     return 0
@@ -347,26 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="SECTION.KEY=VALUE",
             help="override a config key (repeatable)",
         )
-        p.add_argument("--output-dir", default=None, help="override the output directory")
+        # a flag whose dest is a config key overrides that key after every --set
+        p.add_argument("--output-dir", dest="experiment.output_dir", help="output directory")
         if name == "modify":
-            p.add_argument("--modify", dest="scheme", choices=SCHEME_KINDS, default=None)
-            p.add_argument("--potp", type=float, default=None)
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--modify", dest="modify.scheme", choices=SCHEME_KINDS)
+            p.add_argument("--potp", dest="modify.potp")
+            p.add_argument("--seed", dest="modify.seed")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    flags = [f"{key}={value}" for key, value in vars(args).items() if "." in key and value is not None]
     try:
-        config = parse_config(args.config, args.overrides)
-        if args.output_dir is not None:
-            config.output_dir = args.output_dir
-        if getattr(args, "scheme", None) is not None:
-            config.modify_scheme = args.scheme
-        if getattr(args, "potp", None) is not None:
-            config.modify_potp = args.potp
-        if getattr(args, "seed", None) is not None:
-            config.modify_seed = args.seed
+        config = parse_config(args.config, args.overrides + flags)
         return _COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

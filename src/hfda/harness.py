@@ -106,10 +106,10 @@ def derive_seed(base_seed: int, label: str) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a subcommand needs; unspecified fields fall back to the
-    model's desk-scale defaults."""
+    """Everything a subcommand needs.  Unset h, period, sigma and race start
+    seed take the model's defaults; ``run_solver`` derives an unset kappa."""
 
     model: str
     h: float | None = None
@@ -160,21 +160,13 @@ class ExperimentConfig:
     ref_gtol: float = 1e-8
 
     def __post_init__(self) -> None:
-        defaults = MODEL_DEFAULTS.get(self.model, {})
-        if self.h is None:
-            self.h = defaults.get("h")
-        if self.obs_period is None:
-            self.obs_period = defaults.get("period")
-        if self.obs_sigma is None:
-            self.obs_sigma = defaults.get("sigma", 0.1)
-        if self.solver_kappa is None and "kappa" in defaults:
-            # the tuned stride holds the coarse step kappa * period fixed
-            scaled = defaults["kappa"] * defaults["period"] / self.obs_period
-            self.solver_kappa = max(1, round_half_away(scaled))
-        if self.theta0_seed is None:
-            self.theta0_seed = defaults.get("theta0_seed")
-        if self.h is None or self.obs_period is None:
-            raise ValueError(f"model {self.model!r} has no defaults; set h and obs period")
+        if self.model not in MODEL_DEFAULTS:
+            raise ValueError(f"unknown model {self.model!r}; available: {', '.join(MODEL_DEFAULTS)}")
+        defaults = MODEL_DEFAULTS[self.model]
+        fill = {"h": "h", "obs_period": "period", "obs_sigma": "sigma", "theta0_seed": "theta0_seed"}
+        for attr, key in fill.items():
+            if getattr(self, attr) is None:
+                object.__setattr__(self, attr, defaults[key])
 
     def stream(self, label: str, explicit: int | None = None) -> int:
         return int(explicit) if explicit is not None else derive_seed(self.seed, label)
@@ -198,17 +190,21 @@ def build_data(config: ExperimentConfig) -> tuple[ModelSpec, ObservationSet]:
     return model, data
 
 
-def free_components(model: ModelSpec, estimate_x0: bool) -> Array:
-    return np.arange(model.q) if estimate_x0 else np.arange(model.d, model.q)
+def modify_data(
+    config: ExperimentConfig, model: ModelSpec, data: ObservationSet, scheme: str, potp: float
+) -> ObservationSet:
+    """Apply one modification scheme at target fraction ``potp``; the
+    sampling schemes draw from the ``modify/<scheme>/<potp>`` stream."""
+    seed = config.stream(f"modify/{scheme}/{potp}", config.modify_seed)
+    return make_scheme(scheme, model.t_span, config.obs_period, potp, seed).apply(data)
 
 
 def build_problem(
     config: ExperimentConfig,
     model: ModelSpec,
     data: ObservationSet,
-    scheme_kind: str = "none",
+    scheme: str = "none",
     potp: float = 1.0,
-    scheme_seed: int | None = None,
 ) -> Problem:
     """Optionally modify the data, then bind it into a Problem.
 
@@ -216,12 +212,11 @@ def build_problem(
     reset to one (the loss treats them as ordinary observations); with
     ``modify_reweight`` the stored member counts multiply the loss terms.
     """
-    if scheme_kind != "none":
-        scheme = make_scheme(scheme_kind, model.t_span, config.obs_period, potp, scheme_seed)
-        data = scheme.apply(data)
+    if scheme != "none":
+        data = modify_data(config, model, data, scheme, potp)
         if not config.modify_reweight:
             data = data.replace_weights(1.0)
-    free = free_components(model, config.estimate_x0)
+    free = np.arange(model.q) if config.estimate_x0 else np.arange(model.d, model.q)
     return Problem(model, data, config.h, mode=config.mode, free=free)
 
 
@@ -343,12 +338,6 @@ class RelativeErrorReport:
     rows: tuple[StudyRow, ...]
     reference_objective: float
 
-    def lookup(self, scheme: str, potp: float) -> float:
-        for row in self.rows:
-            if row.scheme == scheme and row.potp == potp:
-                return row.relative_error
-        raise KeyError((scheme, potp))
-
 
 def _fit_modified(config: ExperimentConfig, model: ModelSpec, prob_mod: Problem) -> tuple:
     """GN from the reference state, escalating the damping factor if a run
@@ -379,28 +368,24 @@ def run_table1_study(config: ExperimentConfig, write_csv: bool = True) -> Relati
     Fits that never produce a finite estimate are reported as infinite
     relative error and flagged.
     """
-    out_dir = Path(config.output_dir)
-    model, data = build_data(config)
-    problem = build_problem(config, model, data)
-    theta_hat, g_ref = reference_minimizer(config, problem, cache_dir=out_dir)
-
-    none_value = float(problem.objective_many(theta_hat[None])[0])
-    rows = [StudyRow("none", 1.0, (none_value - g_ref) / g_ref, "ok")]
+    base = prepare_baseline(config)
+    none_value = float(base.problem.objective_many(base.theta_hat[None])[0])
+    rows = [StudyRow("none", 1.0, (none_value - base.g_ref) / base.g_ref, "ok")]
 
     def fit_one(kind, potp):
-        seed = config.stream(f"modify/{kind}/{potp}", config.modify_seed)
-        prob_mod = build_problem(config, model, data, kind, potp, seed)
-        theta_fit, status = _fit_modified(config, model, prob_mod)
+        prob_mod = build_problem(config, base.model, base.data, kind, potp)
+        theta_fit, status = _fit_modified(config, base.model, prob_mod)
         if theta_fit is None:
             return StudyRow(kind, potp, np.inf, "failed")
-        value = problem.objective_many(theta_fit[None])[0]
-        err = np.inf if not np.isfinite(value) else (float(value) - g_ref) / g_ref
+        value = base.problem.objective_many(theta_fit[None])[0]
+        err = np.inf if not np.isfinite(value) else (float(value) - base.g_ref) / base.g_ref
         return StudyRow(kind, potp, err, status)
 
     rows.extend(fit_one(kind, potp) for kind in SCHEME_KINDS for potp in config.table1_potps)
 
-    report = RelativeErrorReport(rows=tuple(rows), reference_objective=g_ref)
+    report = RelativeErrorReport(rows=tuple(rows), reference_objective=base.g_ref)
     if write_csv:
+        out_dir = Path(config.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"{config.model}_relative_error.csv"
         with open(path, "w") as fh:
@@ -420,6 +405,7 @@ class RaceRun:
     label: str
     solver: str
     scheme: str
+    potp: float  # the fraction the run's problem and sampling stride were built at
     trace: RunTrace
     times: Array
     errors: Array
@@ -470,7 +456,6 @@ def run_solver(
     theta0: Array,
     *,
     n_full: int,
-    potp: float,
     budget: float,
     max_iter: int,
     record_every: int,
@@ -481,8 +466,9 @@ def run_solver(
     step is rescaled by n_full / len(problem.data) because constant steps
     are tuned against the full-data gradient scale and thinned problems see
     proportionally smaller gradients.  The sampling stride is ``[solver]
-    kappa`` (see ``ExperimentConfig``), else round(1/potp), clamped to the
-    number of observations.  Returns the trace and its hyperparameters.
+    kappa``, else the model's tuned stride rescaled to keep the coarse step
+    kappa * period, clamped to the number of observations.  Returns the
+    trace and its hyperparameters.
     """
     if solver not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {solver!r}; available: {', '.join(SOLVER_NAMES)}")
@@ -492,9 +478,10 @@ def run_solver(
         trace = run_gauss_newton(problem, theta0, damping=damping, gtol=config.solver_gtol, **common)
         return trace, {"damping": "auto" if damping is None else damping}
 
+    defaults = MODEL_DEFAULTS[config.model]
     eta0 = config.solver_eta0
-    if eta0 is None:
-        eta0 = MODEL_DEFAULTS.get(config.model, {}).get(f"{solver}_eta0", 1e-7)
+    if eta0 is None and solver != "ksgd":
+        eta0 = defaults[f"{solver}_eta0"]
     if solver == "gd":
         eta0 = eta0 * n_full / len(problem.data)
         schedule = StepSchedule(config.solver_schedule, eta0, config.solver_k0, config.solver_alpha)
@@ -503,7 +490,8 @@ def run_solver(
 
     kappa = config.solver_kappa
     if kappa is None:
-        kappa = max(1, round_half_away(1.0 / potp))
+        scaled = defaults["kappa"] * defaults["period"] / config.obs_period
+        kappa = max(1, round_half_away(scaled))
     kappa = min(kappa, len(problem.data))
     if config.solver_sampler == "simple":
         sampler = Sampler("simple", m=max(1, round_half_away(len(problem.data) / kappa)))
@@ -516,6 +504,60 @@ def run_solver(
         return trace, {"eta0": eta0, "kappa": kappa, "sampler": sampler.kind}
     trace = run_ksgd(problem, theta0, sampler, form=config.solver_form, seed=seed, **common)
     return trace, {"kappa": kappa, "form": config.solver_form, "sampler": sampler.kind}
+
+
+@dataclass(frozen=True)
+class Baseline:
+    """What every run of a configuration shares: the unmodified data and
+    problem, the reference fit theta_hat with G(theta_hat), and the start."""
+
+    model: ModelSpec
+    data: ObservationSet
+    problem: Problem
+    theta_hat: Array
+    g_ref: float
+    theta0: Array
+
+
+def prepare_baseline(config: ExperimentConfig) -> Baseline:
+    """Simulate the data, fit (or read from the output directory's cache)
+    the unmodified-problem reference minimizer and resolve the start."""
+    model, data = build_data(config)
+    problem = build_problem(config, model, data)
+    theta_hat, g_ref = reference_minimizer(config, problem, cache_dir=Path(config.output_dir))
+    return Baseline(model, data, problem, theta_hat, g_ref, resolve_theta0(config, model))
+
+
+def run_one(
+    config: ExperimentConfig,
+    base: Baseline,
+    label: str,
+    solver: str,
+    scheme: str,
+    potp: float,
+    *,
+    budget: float,
+    max_iter: int,
+    record_every: int,
+) -> RaceRun:
+    """Run ``solver`` from the baseline start on the data modified by
+    ``scheme`` at ``potp`` (the unmodified problem for ``"none"``), then
+    replay its trace through the unmodified objective."""
+    problem = base.problem
+    if scheme != "none":
+        problem = build_problem(config, base.model, base.data, scheme, potp)
+    trace, hyper = run_solver(
+        config,
+        solver,
+        problem,
+        base.theta0,
+        n_full=len(base.data),
+        budget=budget,
+        max_iter=max_iter,
+        record_every=record_every,
+    )
+    times, errors = replay_trace(trace, base.problem, base.theta_hat)
+    return RaceRun(label, solver, scheme, potp, trace, times, errors, len(trace) - len(times), hyper)
 
 
 def _race_runs(config: ExperimentConfig) -> list[tuple[str, str, str]]:
@@ -535,80 +577,46 @@ def run_budget_race(config: ExperimentConfig, write_csv: bool = True) -> RaceRes
 
     Modified problems are built at the race's target fraction; SGD and kSGD
     draw with the ``[solver]`` sampler (systematic by default) at the stride
-    ``run_solver`` picks.  Every run goes through
-    ``run_solver``, so all ``[solver]`` settings other than name, budget,
-    max_iter and record_every apply here too.  After the runs, every trace
-    is replayed through the unmodified objective.
+    ``run_solver`` picks.  Every run goes through ``run_one`` and so
+    ``run_solver``, as ``solve`` does, so all ``[solver]`` settings other
+    than name, budget, max_iter and record_every apply here too.
     """
-    out_dir = Path(config.output_dir)
-    model, data = build_data(config)
-    problem = build_problem(config, model, data)
-    theta_hat, g_ref = reference_minimizer(config, problem, cache_dir=out_dir)
-    theta0 = resolve_theta0(config, model)
-
-    potp = config.race_potp
-    results = []
-    for label, solver, scheme in _race_runs(config):
-        if scheme != "none":
-            seed = config.stream(f"modify/{scheme}/{potp}", config.modify_seed)
-            prob = build_problem(config, model, data, scheme, potp, seed)
-        else:
-            prob = problem
-        trace, hyper = run_solver(
+    base = prepare_baseline(config)
+    runs = tuple(
+        run_one(
             config,
+            base,
+            label,
             solver,
-            prob,
-            theta0,
-            n_full=len(data),
-            potp=potp,
+            scheme,
+            config.race_potp,
             budget=config.race_budget,
             max_iter=config.race_max_iter,
             record_every=1 if label in ("gd_none", "gn_none") else config.race_record_every,
         )
-        times, errors = replay_trace(trace, problem, theta_hat)
-        results.append(
-            RaceRun(
-                label=label,
-                solver=solver,
-                scheme=scheme,
-                trace=trace,
-                times=times,
-                errors=errors,
-                dropped_records=len(trace) - len(times),
-                hyper=hyper,
-            )
-        )
-
-    race = RaceResult(
-        model=config.model,
-        reference_objective=g_ref,
-        theta_ref_hat=theta_hat,
-        theta0=theta0,
-        runs=tuple(results),
+        for label, solver, scheme in _race_runs(config)
     )
     if write_csv:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for run in race.runs:
-            write_trace_csv(run, out_dir / f"{config.model}_{run.label}.csv")
-            _write_run_metadata(config, run, potp, out_dir / f"{config.model}_{run.label}.meta")
-    return race
+        for run in runs:
+            write_run(config, run)
+    return RaceResult(config.model, base.g_ref, base.theta_hat, base.theta0, runs)
 
 
-def write_trace_csv(run: RaceRun, path) -> None:
-    with open(path, "w") as fh:
+def write_run(config: ExperimentConfig, run: RaceRun) -> Path:
+    """Write a run's ``time,error`` trace CSV and its ``key = value``
+    ``.meta`` sidecar to the output directory; returns the CSV path."""
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / f"{config.model}_{run.label}.csv"
+    with open(csv_path, "w") as fh:
         fh.write("time,error\n")
         for t, e in zip(run.times, run.errors):
             fh.write(f"{t:.17g},{e:.17g}\n")
-
-
-def _write_run_metadata(config: ExperimentConfig, run: RaceRun, potp: float, path) -> None:
-    """Write a run's ``key = value`` sidecar; ``potp`` is the fraction the
-    run's problem and sampling stride were built at."""
     lines = {
         "model": config.model,
         "solver": run.solver,
         "scheme": run.scheme,
-        "potp": potp,
+        "potp": run.potp,
         "budget": run.trace.budget,
         "seed": config.seed,
         "obs_seed": config.stream("observation", config.obs_seed),
@@ -620,9 +628,10 @@ def _write_run_metadata(config: ExperimentConfig, run: RaceRun, potp: float, pat
         "dropped_records": run.dropped_records,
         "final_error": run.final_error,
     }
-    with open(path, "w") as fh:
+    with open(out_dir / f"{config.model}_{run.label}.meta", "w") as fh:
         for key, value in lines.items():
             fh.write(f"{key} = {value}\n")
+    return csv_path
 
 
 # ---------------------------------------------------------------------------

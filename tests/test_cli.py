@@ -41,7 +41,7 @@ def test_parse_minimal_config_fills_defaults(tmp_path):
     assert cfg.obs_period == 0.01
     assert cfg.obs_sigma == 0.1
     assert cfg.race_budget == 1.0
-    assert cfg.solver_kappa == 50
+    assert cfg.solver_kappa is None  # run_solver derives an unset stride
     assert cfg.table1_potps == (0.01, 0.1)
 
 
@@ -193,7 +193,7 @@ gtol = 1e-2
 """
     )
     path = write_config(tmp_path, body)
-    assert parse_config(path).solver_kappa == 10
+    assert parse_config(path).solver_kappa is None
     out = tmp_path / "solve"
     assert main(["solve", "--config", str(path), "--output-dir", str(out)]) == 0
     meta = (out / "fitzhugh_nagumo_sgd_none.meta").read_text().splitlines()
@@ -228,10 +228,21 @@ def test_unknown_sampler_exits_before_fitting(tmp_path):
         ("solver", "kappa", "0"),
         ("solver", "eta0", "0"),
         ("solver", "eta0", "-3e-7"),
+        ("experiment", "model", "bogus"),
+        ("experiment", "h", "0"),
+        ("observation", "period", "-0.01"),
+        ("observation", "sigma", "-1"),
+        ("modify", "scheme", "bogus"),
+        ("modify", "potp", "0"),
+        ("modify", "potp", "1.5"),
+        ("race", "potp", "0"),
+        ("table1", "potps", "0.01, 0"),
     ],
 )
 def test_parse_rejects_bad_enumerated_or_nonpositive_value(tmp_path, section, key, value):
-    if section == "experiment":
+    if key == "model":
+        body = MINIMAL.replace("fitzhugh_nagumo", value)
+    elif section == "experiment":
         body = MINIMAL + f"{key} = {value}\n"
     else:
         body = MINIMAL + f"\n[{section}]\n{key} = {value}\n"
@@ -239,10 +250,20 @@ def test_parse_rejects_bad_enumerated_or_nonpositive_value(tmp_path, section, ke
         parse_config(write_config(tmp_path, body))
 
 
+def test_modify_flags_are_checked_like_config_keys(tmp_path, capsys):
+    path = write_config(tmp_path, SMALL_FN)
+    out = tmp_path / "mod"
+    argv = ["modify", "--config", str(path), "--output-dir", str(out), "--modify", "simple_random"]
+    assert main(argv + ["--potp", "0"]) == 2
+    assert "modify.potp" in capsys.readouterr().err
+    assert main(argv + ["--seed", "three"]) == 2
+    assert not out.exists()  # rejected before any data is simulated
+
+
 def test_parse_keeps_auto_kappa_and_eta0(tmp_path):
     cfg = parse_config(write_config(tmp_path, MINIMAL + "\n[solver]\nkappa = auto\neta0 = auto\n"))
     assert cfg.solver_eta0 is None
-    assert cfg.solver_kappa == 50  # the model default fills an unset stride
+    assert cfg.solver_kappa is None  # run_solver derives an unset stride
 
 
 def _fake_study(status):

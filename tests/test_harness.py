@@ -74,9 +74,22 @@ def test_config_fills_model_defaults():
     assert cfg.h == 0.5
     assert cfg.obs_period == 0.005
     assert cfg.obs_sigma == 0.1
-    assert cfg.solver_kappa == 100
+    assert cfg.solver_kappa is None  # run_solver derives an unset stride
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.h = 1.0
     with pytest.raises(ValueError):
         ExperimentConfig(model="unknown_model", seed=1)
+
+
+def test_replaced_period_rescales_the_default_kappa():
+    # the stride is derived when a solver runs, so a replaced period is seen
+    config = dataclasses.replace(ExperimentConfig(model="fitzhugh_nagumo"), obs_period=0.05)
+    model, data = build_data(config)
+    problem = build_problem(config, model, data)
+    _, hyper = harness.run_solver(
+        config, "sgd", problem, model.theta_ref(), n_full=len(data), budget=0.0, max_iter=1, record_every=1
+    )
+    assert hyper["kappa"] == 10
 
 
 def test_reference_minimizer_cached(small_config, tmp_path):
