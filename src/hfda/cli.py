@@ -201,6 +201,7 @@ def _write_observation_metadata(config: ExperimentConfig, data, path: Path) -> N
 
 
 def cmd_simulate(config: ExperimentConfig) -> int:
+    """Simulate the observation record and write it as CSV."""
     model, data = harness.build_data(config)
     out = _out_dir(config)
     csv_path = out / f"{config.model}_observations.csv"
@@ -211,6 +212,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
 
 
 def cmd_modify(config: ExperimentConfig) -> int:
+    """Apply a data-modification scheme to the simulated observations and write them."""
     if config.modify_scheme == "none":
         raise ConfigError("modify requires [modify] scheme (or --modify)")
     model, data = harness.build_data(config)
@@ -226,6 +228,7 @@ def cmd_modify(config: ExperimentConfig) -> int:
 
 
 def cmd_solve(config: ExperimentConfig) -> int:
+    """Fit one solver on the (optionally modified) problem and write its trace."""
     name, scheme = config.solver_name, config.modify_scheme
     run = harness.run_one(
         config, harness.prepare_baseline(config), f"{name}_{scheme}", name, scheme,
@@ -242,6 +245,7 @@ def cmd_solve(config: ExperimentConfig) -> int:
 
 
 def cmd_check(config: ExperimentConfig) -> int:
+    """Run the desk-scale self-checks of Jacobians, gradients, sampling and kSGD."""
     results = harness.run_checks(config)
     for result in results:
         print(result.line())
@@ -249,6 +253,7 @@ def cmd_check(config: ExperimentConfig) -> int:
 
 
 def cmd_table1(config: ExperimentConfig) -> int:
+    """Run the relative-error study of every modification scheme (Table 1)."""
     report = harness.run_table1_study(config)
     print(f"reference objective: {report.reference_objective:.6e}")
     print(f"{'scheme':<20} {'potp':>6} {'relative_error':>16}")
@@ -261,6 +266,7 @@ def cmd_table1(config: ExperimentConfig) -> int:
 
 
 def cmd_race(config: ExperimentConfig) -> int:
+    """Race every solver under the same time budget and write their traces."""
     race = harness.run_budget_race(config)
     print(f"race: {config.model}, budget {config.race_budget:g}s per solver")
     for run in race.runs:

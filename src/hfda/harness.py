@@ -59,9 +59,10 @@ Array = np.ndarray
 # Desk-scale defaults per model: preferred step, observation period/noise,
 # hand-tuned constant step sizes for the first-order methods, the sampling
 # stride for the stochastic solvers, and the committed initialization draw
-# for the budget race.  The stride is tuned at the default period; an
-# unset ``[solver] kappa`` scales it to the configured period so the coarse
-# step kappa * period stays put.  The FitzHugh-Nagumo stride is 50 rather
+# for the budget race.  The stride is tuned at the default period on the
+# full data; an unset ``[solver] kappa`` scales it to the configured period
+# and to the share of observations a modification kept, so the coarse
+# sampled step stays put.  The FitzHugh-Nagumo stride is 50 rather
 # than round(1/potp) = 100: at the perturbed race starts the kappa=100
 # coarse step of 1.0 sits outside the stable region and inflates sampled
 # gradients by orders of magnitude.
@@ -467,8 +468,9 @@ def run_solver(
     are tuned against the full-data gradient scale and thinned problems see
     proportionally smaller gradients.  The sampling stride is ``[solver]
     kappa``, else the model's tuned stride rescaled to keep the coarse step
-    kappa * period, clamped to the number of observations.  Returns the
-    trace and its hyperparameters.
+    kappa * period and by len(problem.data) / n_full, so that a thinned
+    problem keeps the full data's coarse step; either is clamped to the
+    number of observations.  Returns the trace and its hyperparameters.
     """
     if solver not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {solver!r}; available: {', '.join(SOLVER_NAMES)}")
@@ -491,7 +493,7 @@ def run_solver(
     kappa = config.solver_kappa
     if kappa is None:
         scaled = defaults["kappa"] * defaults["period"] / config.obs_period
-        kappa = max(1, round_half_away(scaled))
+        kappa = max(1, round_half_away(scaled * (len(problem.data) / n_full)))
     kappa = min(kappa, len(problem.data))
     if config.solver_sampler == "simple":
         sampler = Sampler("simple", m=max(1, round_half_away(len(problem.data) / kappa)))

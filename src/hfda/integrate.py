@@ -1,20 +1,28 @@
 """Fixed-step Ralston fourth-order Runge-Kutta integration.
 
-There are three step loops.  The generic one, ``integrate``, advances any
-system over a ``TimeGrid`` and is the reference oracle for the model path;
-``integrate_with_sensitivity`` is ``integrate`` on the variational system,
-whose Jacobian is evaluated at the Runge-Kutta stage states, which makes the
-propagated matrix the exact derivative of the discrete flow map.
+There are three Python step loops.  The generic one, ``integrate``, advances
+any system over a ``TimeGrid`` and is the reference oracle for the model
+path; ``integrate_with_sensitivity`` is ``integrate`` on the variational
+system, whose Jacobian is evaluated at the Runge-Kutta stage states, which
+makes the propagated matrix the exact derivative of the discrete flow map.
 
 The model-path loops step only the physical block of a ``ModelSpec``, one
 trajectory on Python floats (numpy's per-operation overhead would dominate
-on d-component arrays).  One forward loop serves ``integrate_augmented``
-(states; a batch of theta runs on component arrays) and
-``integrate_augmented_sensitivity`` (states and the d x q tangent, carried
-as one more component).  ``integrate_adjoint`` is the reverse sweep of the
-same discrete flow: it transposes the stage recursion step by step,
-re-running the forward stages to recover intra-step states, and adds
-impulse vectors at designated nodes on the earlier side of the node.
+on d-component arrays).  One forward loop, ``_sweep``, serves
+``integrate_augmented`` (states; a batch of theta runs on component arrays)
+and ``integrate_augmented_sensitivity`` (states and the d x q tangent,
+carried as one more component).  ``_adjoint_sweep`` is the reverse sweep of
+the same discrete flow: each step, ``_adjoint_step``, transposes the stage
+recursion, re-running the forward stages to recover intra-step states, and
+impulse vectors are added at designated nodes on the earlier side of the
+node.
+
+``integrate_augmented`` and ``integrate_adjoint`` run the compiled sweeps of
+``kernel`` where it can build them for the model: C generated by tracing
+``_stages`` and ``_adjoint_step`` on the model functions, bitwise equal to
+the Python loops, which stay as the fallback (no C compiler, or a model the
+tracer cannot follow) and as the oracle.  The tangent sweep always runs in
+Python.  Both paths count one step per grid step, a batch once.
 
 Grids are built so that every observation time is exactly one of the nodes;
 integration never steps across an observation time.
@@ -28,6 +36,7 @@ from operator import mul
 
 import numpy as np
 
+from . import kernel
 from .dynamics import ModelSpec
 
 Array = np.ndarray
@@ -353,11 +362,26 @@ def integrate_augmented(model: ModelSpec, theta: Array, grid: TimeGrid) -> Array
     ``DivergenceError`` at the first non-finite state, a division by zero
     included.  A batch of shape (..., q) is never checked: non-finite values
     propagate so the caller can mask them.  One trajectory (a 1-D theta or a
-    batch of one) runs on Python floats, a larger batch on one array per
-    component; both give the same bits.  Returns states of shape
+    batch of one) follows Python float semantics, where a division by zero
+    makes the step NaN; a larger batch divides as IEEE arithmetic does.
+    Runs the compiled sweep when ``kernel`` has one for the model, else
+    ``_sweep``; both give the same bits.  Returns states of shape
     (n_nodes, ..., d).
     """
-    return _sweep(model, theta, grid)[0]
+    compiled = kernel.sweeps(model)
+    if compiled is None:
+        return _sweep(model, theta, grid)[0]
+    global _step_count
+    theta = np.asarray(theta, dtype=float)
+    check = theta.ndim == 1
+    if check and not np.all(np.isfinite(theta)):
+        raise DivergenceError(0, grid.t0)
+    rows = theta.reshape(-1, theta.shape[-1])
+    states, node = compiled.state(grid.nodes, rows, python_division=len(rows) == 1, check=check)
+    _step_count += node or grid.n_steps
+    if node:
+        raise DivergenceError(node, float(grid.nodes[node]))
+    return states.reshape((len(grid.nodes),) + theta.shape[:-1] + (model.d,))
 
 
 def integrate_augmented_sensitivity(
@@ -376,6 +400,63 @@ def integrate_augmented_sensitivity(
     return states, request, sens
 
 
+def _adjoint_step(model: ModelSpec, t: float, h: float, x: list, params: list, chi: list) -> list:
+    """chi = (lambda, mu) at the start of one step from chi at its end.
+
+    Re-runs the forward stages from x and transposes the stage recursion,
+    the stage Jacobian [f_x | f_p] mapping lambda weights into both blocks.
+    The Python adjoint loop and ``kernel``'s tracer both call this."""
+    jac_x, jac_p = model.jac_x, model.jac_p
+
+    def vjp(t_s, x_s: list, u: list) -> list:
+        # [f_x | f_p]' u, rows of the stage Jacobian weighted by u
+        rows = [rx + rp for rx, rp in zip(jac_x(t_s, x_s, params), jac_p(t_s, x_s, params))]
+        return [sum(map(mul, column, u)) for column in zip(*rows)]
+
+    lam = chi[: model.d]
+    (x1, x2, x3, x4), _ = _stages(model.rhs, t, h, x, params, advance=False)
+    v4 = vjp(t + h, x4, [(h * B4) * c for c in lam])
+    v3 = vjp(t + C3 * h, x3, [(h * B3) * c + (h * A43) * e4 for c, e4 in zip(lam, v4)])
+    u2 = [(h * B2) * c + h * (A32 * e3 + A42 * e4) for c, e3, e4 in zip(lam, v3, v4)]
+    v2 = vjp(t + C2 * h, x2, u2)
+    u1 = [
+        (h * B1) * c + h * (A21 * e2 + A31 * e3 + A41 * e4)
+        for c, e2, e3, e4 in zip(lam, v2, v3, v4)
+    ]
+    v1 = vjp(t, x1, u1)
+    return [c + e1 + e2 + e3 + e4 for c, e1, e2, e3, e4 in zip(chi, v1, v2, v3, v4)]
+
+
+def _adjoint_sweep(
+    model: ModelSpec, theta: Array, grid: TimeGrid, states: Array, impulses: dict
+) -> Array:
+    """The Python loop of ``integrate_adjoint``."""
+    global _step_count
+    d = model.d
+    nodes = grid.nodes.tolist()
+    n_nodes = len(nodes)
+    params = theta[d:].tolist()
+    xs = states.ravel().tolist()
+
+    def kick(chi: list, g: Array) -> None:
+        chi[:d] = [c + e for c, e in zip(chi, np.asarray(g, dtype=float).tolist())]
+
+    chi = [0.0] * model.q  # (lambda, mu)
+    if n_nodes - 1 in impulses:
+        kick(chi, impulses[n_nodes - 1])
+    for j in range(n_nodes - 2, -1, -1):
+        t, h = nodes[j], nodes[j + 1] - nodes[j]
+        try:
+            chi = _adjoint_step(model, t, h, xs[j * d : (j + 1) * d], params, chi)
+        except ZeroDivisionError:
+            _step_count += 1
+            raise DivergenceError(j + 1, nodes[j + 1]) from None
+        _step_count += 1
+        if j in impulses:
+            kick(chi, impulses[j])
+    return np.array(chi)
+
+
 def integrate_adjoint(
     model: ModelSpec, theta: Array, grid: TimeGrid, states: Array, impulses: dict[int, Array]
 ) -> Array:
@@ -386,53 +467,23 @@ def integrate_adjoint(
     (q,) gradient of sum_j g_j . x_j with respect to theta.  The adjoint is
     a costate lambda (d) plus a parameter accumulator mu (p), zero at the
     final node; an impulse is added to lambda after arriving at its node.
-    Each backward step re-runs the forward stages of that step and
-    transposes the stage recursion, the stage Jacobian [f_x | f_p] mapping
-    lambda weights into both blocks.
+    Each backward step is ``_adjoint_step``.  A division by zero raises
+    ``DivergenceError`` at the end node of its step.  Runs the compiled
+    sweep when ``kernel`` has one for the model, else ``_adjoint_sweep``;
+    both give the same bits.
     """
     global _step_count
     theta = np.asarray(theta, dtype=float)
-    d = model.d
-    rhs, jac_x, jac_p = model.rhs, model.jac_x, model.jac_p
-    nodes = grid.nodes.tolist()
-    n_nodes = len(nodes)
+    states = np.asarray(states, dtype=float)
+    n_nodes = len(grid.nodes)
     for key in impulses:
         if not 0 <= key < n_nodes:
             raise ValueError(f"impulse node {key} is not a grid node index")
-    params = theta[d:].tolist()
-    xs = np.asarray(states, dtype=float).ravel().tolist()
-
-    def kick(chi: list, g: Array) -> None:
-        chi[:d] = [c + e for c, e in zip(chi, np.asarray(g, dtype=float).tolist())]
-
-    def vjp(t_s: float, x_s: list, u: list) -> list:
-        # [f_x | f_p]' u, rows of the stage Jacobian weighted by u
-        rows = [rx + rp for rx, rp in zip(jac_x(t_s, x_s, params), jac_p(t_s, x_s, params))]
-        return [sum(map(mul, column, u)) for column in zip(*rows)]
-
-    chi = [0.0] * model.q  # (lambda, mu)
-    if n_nodes - 1 in impulses:
-        kick(chi, impulses[n_nodes - 1])
-    for j in range(n_nodes - 2, -1, -1):
-        t, h = nodes[j], nodes[j + 1] - nodes[j]
-        lam = chi[:d]
-        try:
-            x_j = xs[j * d : (j + 1) * d]
-            (x1, x2, x3, x4), _ = _stages(rhs, t, h, x_j, params, advance=False)
-            v4 = vjp(t + h, x4, [(h * B4) * c for c in lam])
-            v3 = vjp(t + C3 * h, x3, [(h * B3) * c + (h * A43) * e4 for c, e4 in zip(lam, v4)])
-            u2 = [(h * B2) * c + h * (A32 * e3 + A42 * e4) for c, e3, e4 in zip(lam, v3, v4)]
-            v2 = vjp(t + C2 * h, x2, u2)
-            u1 = [
-                (h * B1) * c + h * (A21 * e2 + A31 * e3 + A41 * e4)
-                for c, e2, e3, e4 in zip(lam, v2, v3, v4)
-            ]
-            v1 = vjp(t, x1, u1)
-        except ZeroDivisionError:
-            _step_count += 1
-            raise DivergenceError(j + 1, nodes[j + 1]) from None
-        chi = [c + e1 + e2 + e3 + e4 for c, e1, e2, e3, e4 in zip(chi, v1, v2, v3, v4)]
-        _step_count += 1
-        if j in impulses:
-            kick(chi, impulses[j])
-    return np.array(chi)
+    compiled = kernel.sweeps(model)
+    if compiled is None:
+        return _adjoint_sweep(model, theta, grid, states, impulses)
+    chi, node = compiled.adjoint(grid.nodes, theta, states, impulses)
+    _step_count += n_nodes - node if node else n_nodes - 1
+    if node:
+        raise DivergenceError(node, float(grid.nodes[node]))
+    return chi

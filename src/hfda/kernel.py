@@ -1,0 +1,301 @@
+"""Compiled Ralston sweeps, generated by tracing the model functions.
+
+Model functions use only ``+ - * /`` and negation on their components (see
+``dynamics``).  Called once on ``Var`` recorders, the Python step code of
+``integrate`` (``_stages`` for a state step, ``_adjoint_step`` for a step of
+the adjoint) therefore records its exact expression DAG: one C statement per
+Python operation, in evaluation order, with constants written as hex float
+literals.  Built with ``-ffp-contract=off``, the C sweeps return the same
+bits as the Python loops.
+
+A Python float division by zero raises ``ZeroDivisionError``; the emitted
+code flags every zero divisor, so a sweep can either reproduce the Python
+semantics (the step becomes NaN) or keep IEEE division, as numpy does for a
+batch.
+
+``sweeps(model)`` builds the library once per process for each set of
+model functions and returns None when no C compiler is found or the model
+cannot be traced (a branch or comparison on a value, ``**``, a ``math``
+call); ``integrate`` then runs its Python loops, which are also the oracle
+the tests compare against.
+"""
+from __future__ import annotations
+
+import ctypes
+import math
+import shutil
+import subprocess
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+from .dynamics import ModelSpec
+
+Array = np.ndarray
+
+CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+class Var:
+    """A double of a traced computation, named by its C expression."""
+
+    __slots__ = ("trace", "name")
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    def __init__(self, trace: "_Trace", name: str):
+        self.trace, self.name = trace, name
+
+    def __add__(self, other):
+        return self.trace.op(self, "+", other)
+
+    def __radd__(self, other):
+        return self.trace.op(other, "+", self)
+
+    def __sub__(self, other):
+        return self.trace.op(self, "-", other)
+
+    def __rsub__(self, other):
+        return self.trace.op(other, "-", self)
+
+    def __mul__(self, other):
+        return self.trace.op(self, "*", other)
+
+    def __rmul__(self, other):
+        return self.trace.op(other, "*", self)
+
+    def __truediv__(self, other):
+        return self.trace.op(self, "/", other)
+
+    def __rtruediv__(self, other):
+        return self.trace.op(other, "/", self)
+
+    def __neg__(self):
+        return self.trace.emit(f"-{self.name}")
+
+    def __bool__(self):
+        raise TypeError("a traced value has no truth value")
+
+    def _compare(self, other):
+        raise TypeError("traced values cannot be compared")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _compare
+
+
+def _c(value) -> str:
+    """C spelling of an operand: a traced name or a hex float literal.
+    Only Python numbers are constants: a numpy scalar divides by zero
+    without raising, so a model that uses one keeps the Python loops."""
+    if isinstance(value, Var):
+        return value.name
+    if type(value) in (int, float) and math.isfinite(value):
+        return f"({float(value).hex()})"
+    raise TypeError(f"cannot trace an operand of type {type(value).__name__}")
+
+
+class _Trace:
+    """The C statements recorded so far, one per operation."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+
+    def emit(self, expr: str, divisor: str | None = None) -> Var:
+        name = f"v{len(self.lines)}"
+        flag = "" if divisor is None else f" zd |= {divisor} == 0.0;"
+        self.lines.append(f"const double {name} = {expr};{flag}")
+        return Var(self, name)
+
+    def op(self, a, symbol: str, b) -> Var:
+        a, b = _c(a), _c(b)
+        return self.emit(f"{a} {symbol} {b}", b if symbol == "/" else None)
+
+
+def _c_step(name: str, step, model: ModelSpec, n_out: int) -> str:
+    """A C function ``int name(t, h, x, p, c, y)`` writing step(t, h, x, p, c)
+    to y and returning whether a divisor was zero."""
+    trace = _Trace()
+    t, h = Var(trace, "t"), Var(trace, "h")
+    x = [Var(trace, f"x[{i}]") for i in range(model.d)]
+    params = [Var(trace, f"p[{k}]") for k in range(model.p)]
+    chi = [Var(trace, f"c[{i}]") for i in range(model.q)]
+    out = step(t, h, x, params, chi)
+    if len(out) != n_out:
+        raise TypeError(f"a traced step returned {len(out)} values, not {n_out}")
+    body = trace.lines + [f"y[{i}] = {_c(v)};" for i, v in enumerate(out)]
+    return (
+        f"static inline int {name}(const double t, const double h, const double *x,\n"
+        f"    const double *p, const double *c, double *y)\n"
+        "{\n    int zd = 0;\n    " + "\n    ".join(body) + "\n    return zd;\n}\n"
+    )
+
+
+# The two sweeps around the traced steps.  hfda_state runs K trajectories
+# from the rows of theta (K x Q) into out (n x K x D); with pydiv a zero
+# divisor makes the step NaN, and with check it stops at the first
+# non-finite state and returns that node.  hfda_adjoint runs the costate
+# (lambda, mu) back from zero, adding impulses[j] to lambda at each kicked
+# node j, and returns the node j + 1 of a step with a zero divisor.
+_SWEEPS = """
+long hfda_state(long n, const double *nodes, long K, const double *theta,
+    double *out, int pydiv, int check)
+{
+    for (long k = 0; k < K; ++k) {
+        const double *p = theta + k * Q + D;
+        double x[D], y[D];
+        for (int i = 0; i < D; ++i)
+            out[k * D + i] = x[i] = theta[k * Q + i];
+        for (long j = 0; j + 1 < n; ++j) {
+            if (state_step(nodes[j], nodes[j + 1] - nodes[j], x, p, 0, y) && pydiv)
+                for (int i = 0; i < D; ++i)
+                    y[i] = __builtin_nan("");
+            for (int i = 0; i < D; ++i) {
+                if (check && !__builtin_isfinite(y[i]))
+                    return j + 1;
+                out[((j + 1) * K + k) * D + i] = x[i] = y[i];
+            }
+        }
+    }
+    return 0;
+}
+
+long hfda_adjoint(long n, const double *nodes, const double *theta,
+    const double *states, const unsigned char *kicked, const double *impulses,
+    double *chi)
+{
+    double next[Q];
+    for (int i = 0; i < Q; ++i)
+        chi[i] = 0.0;
+    for (long j = n - 1; j >= 0; --j) {
+        if (j + 1 < n) {
+            if (adjoint_step(nodes[j], nodes[j + 1] - nodes[j], states + j * D,
+                    theta + D, chi, next))
+                return j + 1;
+            for (int i = 0; i < Q; ++i)
+                chi[i] = next[i];
+        }
+        if (kicked[j])
+            for (int i = 0; i < D; ++i)
+                chi[i] = chi[i] + impulses[j * D + i];
+    }
+    return 0;
+}
+"""
+
+
+def _source(model: ModelSpec) -> str:
+    """The C source of both sweeps for ``model``; raises TypeError or
+    ArithmeticError when the model functions cannot be traced."""
+    from .integrate import _adjoint_step, _stages  # integrate imports this module
+
+    def state(t, h, x, params, chi):
+        return _stages(model.rhs, t, h, x, params)[1]
+
+    def adjoint(t, h, x, params, chi):
+        return _adjoint_step(model, t, h, x, params, chi)
+
+    return (
+        f"enum {{ D = {model.d}, Q = {model.q} }};\n\n"
+        + _c_step("state_step", state, model, model.d)
+        + _c_step("adjoint_step", adjoint, model, model.q)
+        + _SWEEPS
+    )
+
+
+_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_BYTES = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
+
+
+class Sweeps:
+    """The compiled state and adjoint sweeps of one model's functions."""
+
+    def __init__(self, library: ctypes.CDLL, d: int, q: int):
+        self.d, self.q = d, q
+        self._library = library
+        self._state = library.hfda_state
+        self._state.argtypes = [
+            ctypes.c_long, _DOUBLES, ctypes.c_long, _DOUBLES, _DOUBLES, ctypes.c_int, ctypes.c_int
+        ]
+        self._state.restype = ctypes.c_long
+        self._adjoint = library.hfda_adjoint
+        self._adjoint.argtypes = [
+            ctypes.c_long, _DOUBLES, _DOUBLES, _DOUBLES, _BYTES, _DOUBLES, _DOUBLES
+        ]
+        self._adjoint.restype = ctypes.c_long
+
+    def state(
+        self, nodes: Array, thetas: Array, python_division: bool, check: bool
+    ) -> tuple[Array, int]:
+        """(states (n_nodes, K, d), node) from the rows of ``thetas`` (K, q).
+        ``node`` is 0, or with ``check`` the first node whose state is not
+        finite (the states from there on are not written)."""
+        nodes = np.ascontiguousarray(nodes, dtype=float)
+        thetas = np.ascontiguousarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != self.q:
+            raise ValueError(f"thetas must have shape (K, {self.q}), got {thetas.shape}")
+        out = np.empty((len(nodes), len(thetas), self.d))
+        node = self._state(len(nodes), nodes, len(thetas), thetas, out, python_division, check)
+        return out, node
+
+    def adjoint(
+        self, nodes: Array, theta: Array, states: Array, impulses: dict[int, Array]
+    ) -> tuple[Array, int]:
+        """(chi (q,), node): the adjoint sweep, ``impulses`` mapping nodes to
+        d-vectors; ``node`` is 0, or the end node of the step that divided
+        by zero."""
+        n = len(nodes)
+        nodes = np.ascontiguousarray(nodes, dtype=float)
+        theta = np.ascontiguousarray(theta, dtype=float)
+        states = np.ascontiguousarray(states, dtype=float)
+        if theta.shape != (self.q,) or states.shape != (n, self.d):
+            raise ValueError(f"theta and states must have shapes ({self.q},) and ({n}, {self.d})")
+        kicked = np.zeros(n, dtype=np.uint8)
+        values = np.zeros((n, self.d))
+        if impulses:
+            keys = list(impulses)
+            kicked[keys] = 1
+            values[keys] = np.concatenate(list(impulses.values())).reshape(len(keys), self.d)
+        chi = np.empty(self.q)
+        node = self._adjoint(n, nodes, theta, states, kicked, values, chi)
+        return chi, node
+
+
+def _compile(compiler: str, source: str, model: ModelSpec) -> Sweeps | None:
+    with tempfile.TemporaryDirectory(prefix="hfda-kernel-") as tmp:
+        c_file, library = Path(tmp, "sweeps.c"), Path(tmp, "sweeps.so")
+        c_file.write_text(source)
+        command = [compiler, *CFLAGS, "-o", str(library), str(c_file)]
+        try:
+            subprocess.run(command, check=True, capture_output=True, text=True)
+            return Sweeps(ctypes.CDLL(str(library)), model.d, model.q)
+        except (OSError, subprocess.CalledProcessError) as exc:
+            detail = getattr(exc, "stderr", None) or exc
+            warnings.warn(f"hfda.kernel: no compiled sweeps, running the Python loops: {detail}")
+            return None
+
+
+# (rhs, jac_x, jac_p, d, p) -> Sweeps or None, and C source -> Sweeps
+_BY_FUNCTIONS: dict[tuple, Sweeps | None] = {}
+_BY_SOURCE: dict[str, Sweeps | None] = {}
+
+
+def sweeps(model: ModelSpec) -> Sweeps | None:
+    """The compiled sweeps of ``model``'s functions, or None when no C
+    compiler is on PATH or the functions cannot be traced."""
+    key = (model.rhs, model.jac_x, model.jac_p, model.d, model.p)
+    if key not in _BY_FUNCTIONS:
+        _BY_FUNCTIONS[key] = _build(model)
+    return _BY_FUNCTIONS[key]
+
+
+def _build(model: ModelSpec) -> Sweeps | None:
+    compiler = shutil.which("cc")
+    if compiler is None:
+        return None
+    try:
+        source = _source(model)
+    except (TypeError, ArithmeticError):
+        return None  # the model branches on a value or uses an untraceable operation
+    if source not in _BY_SOURCE:
+        _BY_SOURCE[source] = _compile(compiler, source, model)
+    return _BY_SOURCE[source]

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from hfda import kernel
 from hfda.dynamics import fitzhugh_nagumo
 from hfda.observe import identity_observation, simulate_observations
 from hfda.optimize import Problem
@@ -26,3 +27,18 @@ def fn_small_noiseless(fn_small):
     data = simulate_observations(model, model.params_ref, obs_model, 0.05, seed=42, noise=False)
     problem = Problem(model, data, h=0.25)
     return model, data, problem
+
+
+@pytest.fixture
+def sweep_paths(monkeypatch):
+    """The sweep paths, each in force while a test's loop body runs for it:
+    ``"compiled"`` (the generated kernel, where a C compiler is found) and
+    then ``"python"`` (the Python loops, by turning the kernel lookup off).
+    A test loops over all of them."""
+
+    def paths():
+        yield "compiled"
+        monkeypatch.setattr(kernel, "sweeps", lambda model: None)
+        yield "python"
+
+    return paths()

@@ -202,6 +202,35 @@ gtol = 1e-2
     assert iterations > 0
 
 
+def test_default_kappa_keeps_the_coarse_step_on_thinned_data(tmp_path):
+    # stride 50 at period 0.01 is a coarse step of 0.5; average_upper at 10%
+    # keeps every tenth time, so the same step is stride 5 (stride 50 would
+    # step 5.0 and diverge at once)
+    body = (
+        MINIMAL
+        + """
+[modify]
+scheme = average_upper
+potp = 0.1
+
+[solver]
+name = ksgd
+budget = 0
+max_iter = 3
+
+[reference]
+max_iter = 10
+gtol = 1e-2
+"""
+    )
+    path, out = write_config(tmp_path, body), tmp_path / "solve"
+    assert main(["solve", "--config", str(path), "--output-dir", str(out)]) == 0
+    meta = (out / "fitzhugh_nagumo_ksgd_average_upper.meta").read_text().splitlines()
+    assert "kappa = 5" in meta
+    assert "iterations = 3" in meta
+    assert "terminated_by = divergence" not in meta
+
+
 def test_unknown_solver_exits_nonzero(tmp_path):
     path = write_config(tmp_path, SMALL_FN + "\n[solver]\nname = bfgs\n")
     out = tmp_path / "x"
@@ -329,3 +358,15 @@ gtol = 1e-2
 def test_bad_config_exit_code(tmp_path):
     path = write_config(tmp_path, "[experiment]\nmodel = fitzhugh_nagumo\nfoo bar\n")
     assert main(["simulate", "--config", str(path)]) == 2
+
+
+def test_help_describes_every_subcommand(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    lines = capsys.readouterr().out.splitlines()
+    usage = lines[0]
+    names = usage[usage.index("{") + 1 : usage.index("}")].split(",")
+    assert names == ["simulate", "modify", "solve", "check", "table1", "race"]
+    for name in names:
+        line = next(line for line in lines if line.split()[:1] == [name])
+        assert len(line.split()) > 1, name

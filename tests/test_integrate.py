@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import shutil
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hfda.dynamics import augment, fitzhugh_nagumo, get_model, linear_system
+from hfda import kernel
+from hfda.dynamics import MODEL_NAMES, augment, fitzhugh_nagumo, get_model, linear_system
 from hfda.integrate import (
     DivergenceError,
     build_grid,
@@ -182,7 +185,7 @@ def test_batched_state_pass_matches_single_runs_bitwise():
     assert np.array_equal(one, batch[:, :1])
 
 
-def test_fast_paths_diverge_where_the_generic_oracle_does():
+def test_fast_paths_diverge_where_the_generic_oracle_does(sweep_paths):
     # at step 1.5 the reference FitzHugh-Nagumo trajectory blows up mid-span
     model = fitzhugh_nagumo()
     system = augment(model)
@@ -195,27 +198,90 @@ def test_fast_paths_diverge_where_the_generic_oracle_does():
         lambda: integrate_with_sensitivity(system, theta, grid, end),
         lambda: integrate_augmented_sensitivity(model, theta, grid, end),
     ]
-    outcomes = []
-    for run in runs:
-        reset_step_count()
-        with pytest.raises(DivergenceError) as err:
-            run()
-        outcomes.append((err.value.node_index, err.value.time, step_count()))
-    node, _, steps = outcomes[0]
-    assert 1 < node < grid.n_steps
-    assert steps == node
-    assert all(outcome == outcomes[0] for outcome in outcomes)
+    for path in sweep_paths:
+        outcomes = []
+        for run in runs:
+            reset_step_count()
+            with pytest.raises(DivergenceError) as err:
+                run()
+            outcomes.append((err.value.node_index, err.value.time, step_count()))
+        node, _, steps = outcomes[0]
+        assert 1 < node < grid.n_steps
+        assert steps == node
+        assert all(outcome == outcomes[0] for outcome in outcomes), path
 
 
-def test_nonfinite_theta_diverges_at_node_zero():
+def test_nonfinite_theta_diverges_at_node_zero(sweep_paths):
     model = fitzhugh_nagumo()
     grid = build_grid((0.0, 5.0), 0.25, np.empty(0))
     theta = model.theta_ref()
     theta[3] = np.nan
-    reset_step_count()
-    with pytest.raises(DivergenceError) as err:
-        integrate_augmented(model, theta, grid)
-    assert (err.value.node_index, err.value.time, step_count()) == (0, 0.0, 0)
+    for path in sweep_paths:
+        reset_step_count()
+        with pytest.raises(DivergenceError) as err:
+            integrate_augmented(model, theta, grid)
+        assert (err.value.node_index, err.value.time, step_count()) == (0, 0.0, 0), path
+
+
+def _parity_model(name):
+    if name == "linear":
+        a, b = [[-0.3, 1.0], [-1.0, -0.2]], [[1.0, 0.0], [0.5, -1.0]]
+        return linear_system(a, b, x0=[1.0, -0.5], t_span=(0.0, 5.0))
+    return get_model(name)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.1])
+@pytest.mark.parametrize("name", [*MODEL_NAMES, "linear"])
+def test_compiled_sweeps_match_the_python_loops_bitwise(name, scale, sweep_paths):
+    model = _parity_model(name)
+    rng = np.random.default_rng(29)
+    t0, t_end = model.t_span
+    # inserted observation times make the steps uneven
+    grid = build_grid(model.t_span, 0.1, np.sort(rng.uniform(t0 + 0.01, t_end, 37)))
+    theta = scale * model.theta_ref()
+    rows = theta + 0.01 * (1.0 + np.abs(theta)) * rng.standard_normal((52, model.q))
+    impulses = {int(j): rng.standard_normal(model.d) for j in grid.obs_node}
+    results = {}
+    for path in sweep_paths:
+        states = integrate_augmented(model, theta, grid)
+        batches = [integrate_augmented(model, rows[:k], grid) for k in (1, 2, 52)]
+        results[path] = [states, *batches, integrate_adjoint(model, theta, grid, states, impulses)]
+    for compiled, python in zip(results["compiled"], results["python"]):
+        assert compiled.shape == python.shape
+        assert np.array_equal(compiled, python)
+
+
+def test_a_model_that_branches_on_a_value_keeps_the_python_loops():
+    base = fitzhugh_nagumo()
+
+    def clipped_rhs(t, x, params):
+        v, w = x
+        return base.rhs(t, (v if v > -10.0 else -10.0, w), params)  # never clips here
+
+    model = dataclasses.replace(base, rhs=clipped_rhs)
+    assert kernel.sweeps(model) is None
+    grid = build_grid((0.0, 5.0), 0.25, np.empty(0))
+    theta = model.theta_ref()
+    assert np.array_equal(integrate_augmented(model, theta, grid), integrate_augmented(base, theta, grid))
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+@pytest.mark.parametrize("name", [*MODEL_NAMES, "linear"])
+def test_models_run_compiled_where_a_compiler_is_found(name, monkeypatch):
+    # a silent fallback to the Python loops would pass every parity test
+    integrate_module = importlib.import_module("hfda.integrate")
+
+    def python_loop(*args, **kwargs):
+        raise AssertionError("the Python loop ran")
+
+    monkeypatch.setattr(integrate_module, "_sweep", python_loop)
+    monkeypatch.setattr(integrate_module, "_adjoint_sweep", python_loop)
+    model = _parity_model(name)
+    grid = build_grid(model.t_span, 0.5, np.empty(0))
+    theta = model.theta_ref()
+    states = integrate_augmented(model, theta, grid)
+    integrate_augmented(model, np.stack([theta, theta]), grid)
+    integrate_adjoint(model, theta, grid, states, {grid.n_steps: np.ones(model.d)})
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +370,9 @@ def test_sensitivity_requests_are_sorted_unique_grid_nodes():
 # ---------------------------------------------------------------------------
 
 
-def test_model_calls_per_step():
-    # the work the benchmark's dynamics.*_calls counters measure
-    counts = Counter()
+def _counted_fn(counts):
+    """FitzHugh-Nagumo with its rhs and Jacobians counted, as the benchmark's
+    tracer counts them (``dynamics.*_calls``)."""
 
     def counted(name, fn):
         def wrapper(*args):
@@ -316,12 +382,19 @@ def test_model_calls_per_step():
         return wrapper
 
     base = fitzhugh_nagumo()
-    model = dataclasses.replace(
+    return dataclasses.replace(
         base,
         rhs=counted("rhs", base.rhs),
         jac_x=counted("jac", base.jac_x),
         jac_p=counted("jac", base.jac_p),
     )
+
+
+def test_model_calls_per_step(monkeypatch):
+    # the Python loops' work per step; the compiled sweeps are covered below
+    monkeypatch.setattr(kernel, "sweeps", lambda model: None)
+    counts = Counter()
+    model = _counted_fn(counts)
     grid = build_grid((0.0, 5.0), 0.25, np.empty(0))
     n = grid.n_steps
     theta = model.theta_ref()
@@ -340,6 +413,24 @@ def test_model_calls_per_step():
         counts.clear()
         sweep()
         assert (counts["rhs"], counts["jac"]) == (rhs_per_step * n, jac_per_step * n), name
+
+
+def test_compiled_sweeps_call_the_model_only_while_tracing():
+    if kernel.sweeps(fitzhugh_nagumo()) is None:
+        pytest.skip("no compiled kernel on this platform")
+    totals = []
+    for t_end in (5.0, 10.0):
+        counts = Counter()
+        model = _counted_fn(counts)  # new functions: traced afresh
+        grid = build_grid((0.0, t_end), 0.25, np.empty(0))
+        theta = model.theta_ref()
+        for _ in range(2):
+            states = integrate_augmented(model, theta, grid)
+            integrate_augmented(model, np.stack([theta, 1.01 * theta]), grid)
+            integrate_adjoint(model, theta, grid, states, {grid.n_steps: np.ones(model.d)})
+        totals.append(dict(counts))
+    # one state step (4 rhs) and one adjoint step (3 rhs, 4 jac_x, 4 jac_p)
+    assert totals == [{"rhs": 7, "jac": 8}] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,7 @@ def test_weights_scale_objective_terms(fn_small):
     assert np.isclose(v2, 2.0 * v1, rtol=1e-14)
 
 
-def test_zero_tau_diverges_at_the_first_node():
+def test_zero_tau_diverges_at_the_first_node(sweep_paths):
     # tau = 0 divides by zero in the first stage; every entry point stops at
     # node 1 after one counted step
     model = fitzhugh_nagumo()
@@ -242,15 +242,16 @@ def test_zero_tau_diverges_at_the_first_node():
         "adjoint": lambda: gradient(model, theta, data, problem.grid, mode="adjoint"),
         "residual_system": lambda: problem.residual_system(theta),
     }
-    for name, run in runs.items():
-        reset_step_count()
-        with pytest.raises(DivergenceError) as err:
-            run()
-        assert (err.value.node_index, err.value.time) == (1, data.times[0]), name
-        assert step_count() == 1, name
+    for path in sweep_paths:
+        for name, run in runs.items():
+            reset_step_count()
+            with pytest.raises(DivergenceError) as err:
+                run()
+            assert (err.value.node_index, err.value.time) == (1, data.times[0]), (path, name)
+            assert step_count() == 1, (path, name)
 
 
-def test_objective_many_masks_a_diverging_row():
+def test_objective_many_masks_a_diverging_row(sweep_paths):
     # at step 1.5 the reference trajectory blows up mid-span; a smaller
     # current ii keeps the second row finite
     model = fitzhugh_nagumo()
@@ -260,12 +261,13 @@ def test_objective_many_masks_a_diverging_row():
     diverging = model.theta_ref()
     finite = model.theta_ref()
     finite[2] = 0.2
-    with pytest.raises(DivergenceError):
-        objective(model, diverging, data, grid)
-    values = objective_many(model, np.array([diverging, finite]), data, grid)
-    assert np.isnan(values[0]) and np.isfinite(values[1])
-    assert np.isnan(objective_many(model, diverging[None], data, grid)[0])
-    assert np.isclose(values[1], objective(model, finite, data, grid), rtol=1e-13, atol=0)
+    for path in sweep_paths:
+        with pytest.raises(DivergenceError):
+            objective(model, diverging, data, grid)
+        values = objective_many(model, np.array([diverging, finite]), data, grid)
+        assert np.isnan(values[0]) and np.isfinite(values[1]), path
+        assert np.isnan(objective_many(model, diverging[None], data, grid)[0]), path
+        assert np.isclose(values[1], objective(model, finite, data, grid), rtol=1e-13, atol=0), path
 
 
 # ---------------------------------------------------------------------------
