@@ -25,9 +25,10 @@ from pathlib import Path
 from . import harness, observe
 from .dynamics import MODEL_NAMES
 from .harness import SOLVER_NAMES, THETA0_POLICIES, ExperimentConfig
+from .integrate import DivergenceError
 from .modify import SCHEME_KINDS
 from .observe import DERIVATIVE_MODES
-from .optimize import KSGD_FORMS, SCHEDULE_KINDS
+from .optimize import KSGD_FORMS, SCHEDULE_KINDS, SolverError
 from .stochastic import SAMPLER_KINDS
 
 
@@ -338,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DivergenceError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

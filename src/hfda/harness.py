@@ -415,7 +415,8 @@ class RaceRun:
 
     @property
     def final_error(self) -> float:
-        return float(self.errors[-1])
+        """The last replayed relative error; NaN when replay kept no record."""
+        return float(self.errors[-1]) if len(self.errors) else np.nan
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ and ``integrate_augmented_sensitivity`` (states and the d x q tangent,
 carried as one more component).  ``_adjoint_sweep`` is the reverse sweep of
 the same discrete flow: each step, ``_adjoint_step``, transposes the stage
 recursion, re-running the forward stages to recover intra-step states, and
-impulse vectors are added at designated nodes on the earlier side of the
-node.
+row j of an (n_nodes, d) impulse array is added on the earlier side of
+node j.
 
 ``integrate_augmented`` and ``integrate_adjoint`` run the compiled sweeps of
 ``kernel`` where it can build them for the model: C generated by tracing
@@ -428,57 +428,54 @@ def _adjoint_step(model: ModelSpec, t: float, h: float, x: list, params: list, c
 
 
 def _adjoint_sweep(
-    model: ModelSpec, theta: Array, grid: TimeGrid, states: Array, impulses: dict
+    model: ModelSpec, theta: Array, grid: TimeGrid, states: Array, impulses: Array
 ) -> Array:
-    """The Python loop of ``integrate_adjoint``."""
+    """The Python loop of ``integrate_adjoint``, in the order of the C sweep."""
     global _step_count
     d = model.d
     nodes = grid.nodes.tolist()
-    n_nodes = len(nodes)
     params = theta[d:].tolist()
-    xs = states.ravel().tolist()
-
-    def kick(chi: list, g: Array) -> None:
-        chi[:d] = [c + e for c, e in zip(chi, np.asarray(g, dtype=float).tolist())]
-
+    xs, rows = states.tolist(), impulses.tolist()
     chi = [0.0] * model.q  # (lambda, mu)
-    if n_nodes - 1 in impulses:
-        kick(chi, impulses[n_nodes - 1])
-    for j in range(n_nodes - 2, -1, -1):
-        t, h = nodes[j], nodes[j + 1] - nodes[j]
-        try:
-            chi = _adjoint_step(model, t, h, xs[j * d : (j + 1) * d], params, chi)
-        except ZeroDivisionError:
+    for j in range(len(nodes) - 1, -1, -1):
+        if j + 1 < len(nodes):
+            t, h = nodes[j], nodes[j + 1] - nodes[j]
             _step_count += 1
-            raise DivergenceError(j + 1, nodes[j + 1]) from None
-        _step_count += 1
-        if j in impulses:
-            kick(chi, impulses[j])
+            try:
+                chi = _adjoint_step(model, t, h, xs[j], params, chi)
+            except ZeroDivisionError:
+                raise DivergenceError(j + 1, nodes[j + 1]) from None
+        chi[:d] = [c + e for c, e in zip(chi, rows[j])]
     return np.array(chi)
 
 
 def integrate_adjoint(
-    model: ModelSpec, theta: Array, grid: TimeGrid, states: Array, impulses: dict[int, Array]
+    model: ModelSpec, theta: Array, grid: TimeGrid, states: Array, impulses: Array
 ) -> Array:
     """Backward sweep of the discrete adjoint on the physical block.
 
     ``states`` are the (n_nodes, d) states of ``integrate_augmented`` from
-    theta and ``impulses`` maps node indices to d-vectors g_j; returns the
-    (q,) gradient of sum_j g_j . x_j with respect to theta.  The adjoint is
-    a costate lambda (d) plus a parameter accumulator mu (p), zero at the
-    final node; an impulse is added to lambda after arriving at its node.
-    Each backward step is ``_adjoint_step``.  A division by zero raises
-    ``DivergenceError`` at the end node of its step.  Runs the compiled
+    theta and ``impulses`` is an (n_nodes, d) array whose row j is the
+    vector g_j (zero at a node without an observation); returns the (q,)
+    gradient of sum_j g_j . x_j with respect to theta.  The adjoint is a
+    costate lambda (d) plus a parameter accumulator mu (p), zero at the
+    final node; row j is added to lambda after arriving at node j.  Lambda
+    starts at +0.0 and every update is a sum, so it is never -0.0 and a
+    zero row leaves it unchanged, bit for bit.  Each backward step is
+    ``_adjoint_step``.  A wrong shape raises ``ValueError``, a division by
+    zero ``DivergenceError`` at the end node of its step.  Runs the compiled
     sweep when ``kernel`` has one for the model, else ``_adjoint_sweep``;
     both give the same bits.
     """
     global _step_count
     theta = np.asarray(theta, dtype=float)
     states = np.asarray(states, dtype=float)
+    impulses = np.asarray(impulses, dtype=float)
     n_nodes = len(grid.nodes)
-    for key in impulses:
-        if not 0 <= key < n_nodes:
-            raise ValueError(f"impulse node {key} is not a grid node index")
+    shapes = {"theta": (model.q,), "states": (n_nodes, model.d), "impulses": (n_nodes, model.d)}
+    for name, value in zip(shapes, (theta, states, impulses)):
+        if value.shape != shapes[name]:
+            raise ValueError(f"{name} must have shape {shapes[name]}, got {value.shape}")
     compiled = kernel.sweeps(model)
     if compiled is None:
         return _adjoint_sweep(model, theta, grid, states, impulses)

@@ -134,8 +134,8 @@ def _c_step(name: str, step, model: ModelSpec, n_out: int) -> str:
 # from the rows of theta (K x Q) into out (n x K x D); with pydiv a zero
 # divisor makes the step NaN, and with check it stops at the first
 # non-finite state and returns that node.  hfda_adjoint runs the costate
-# (lambda, mu) back from zero, adding impulses[j] to lambda at each kicked
-# node j, and returns the node j + 1 of a step with a zero divisor.
+# (lambda, mu) back from zero, adding row j of impulses (n x D) to lambda at
+# every node j, and returns the node j + 1 of a step with a zero divisor.
 _SWEEPS = """
 long hfda_state(long n, const double *nodes, long K, const double *theta,
     double *out, int pydiv, int check)
@@ -160,8 +160,7 @@ long hfda_state(long n, const double *nodes, long K, const double *theta,
 }
 
 long hfda_adjoint(long n, const double *nodes, const double *theta,
-    const double *states, const unsigned char *kicked, const double *impulses,
-    double *chi)
+    const double *states, const double *impulses, double *chi)
 {
     double next[Q];
     for (int i = 0; i < Q; ++i)
@@ -174,9 +173,8 @@ long hfda_adjoint(long n, const double *nodes, const double *theta,
             for (int i = 0; i < Q; ++i)
                 chi[i] = next[i];
         }
-        if (kicked[j])
-            for (int i = 0; i < D; ++i)
-                chi[i] = chi[i] + impulses[j * D + i];
+        for (int i = 0; i < D; ++i)
+            chi[i] = chi[i] + impulses[j * D + i];
     }
     return 0;
 }
@@ -203,7 +201,6 @@ def _source(model: ModelSpec) -> str:
 
 
 _DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-_BYTES = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
 
 
 class Sweeps:
@@ -218,9 +215,7 @@ class Sweeps:
         ]
         self._state.restype = ctypes.c_long
         self._adjoint = library.hfda_adjoint
-        self._adjoint.argtypes = [
-            ctypes.c_long, _DOUBLES, _DOUBLES, _DOUBLES, _BYTES, _DOUBLES, _DOUBLES
-        ]
+        self._adjoint.argtypes = [ctypes.c_long, _DOUBLES, _DOUBLES, _DOUBLES, _DOUBLES, _DOUBLES]
         self._adjoint.restype = ctypes.c_long
 
     def state(
@@ -238,25 +233,14 @@ class Sweeps:
         return out, node
 
     def adjoint(
-        self, nodes: Array, theta: Array, states: Array, impulses: dict[int, Array]
+        self, nodes: Array, theta: Array, states: Array, impulses: Array
     ) -> tuple[Array, int]:
-        """(chi (q,), node): the adjoint sweep, ``impulses`` mapping nodes to
-        d-vectors; ``node`` is 0, or the end node of the step that divided
-        by zero."""
-        n = len(nodes)
-        nodes = np.ascontiguousarray(nodes, dtype=float)
-        theta = np.ascontiguousarray(theta, dtype=float)
-        states = np.ascontiguousarray(states, dtype=float)
-        if theta.shape != (self.q,) or states.shape != (n, self.d):
-            raise ValueError(f"theta and states must have shapes ({self.q},) and ({n}, {self.d})")
-        kicked = np.zeros(n, dtype=np.uint8)
-        values = np.zeros((n, self.d))
-        if impulses:
-            keys = list(impulses)
-            kicked[keys] = 1
-            values[keys] = np.concatenate(list(impulses.values())).reshape(len(keys), self.d)
+        """(chi (q,), node): the adjoint sweep from ``states`` and
+        ``impulses``, both (n_nodes, d) and checked by ``integrate_adjoint``;
+        ``node`` is 0, or the end node of the step that divided by zero."""
+        arrays = [np.ascontiguousarray(a, dtype=float) for a in (nodes, theta, states, impulses)]
         chi = np.empty(self.q)
-        node = self._adjoint(n, nodes, theta, states, kicked, values, chi)
+        node = self._adjoint(len(nodes), *arrays, chi)
         return chi, node
 
 

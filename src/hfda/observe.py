@@ -268,19 +268,17 @@ def gradient(
         raise ValueError(f"unknown gradient mode {mode!r}")
     theta = np.asarray(theta, dtype=float)
     idx = grid.node_index(data.times)
-    uniq_nodes, inv = np.unique(idx, return_inverse=True)
-
     if mode == "forward":
-        states, _, sens_top = integrate_augmented_sensitivity(model, theta, grid, uniq_nodes)
+        states, request, sens_top = integrate_augmented_sensitivity(model, theta, grid, idx)
     else:
         states = integrate_augmented(model, theta, grid)
     x_obs = states[idx]
-    per_node = np.zeros((len(uniq_nodes), model.d))
-    np.add.at(per_node, inv, _weighted_loss_grads(data, x_obs))
+    impulses = np.zeros((len(grid.nodes), model.d))  # summed over observations sharing a node
+    np.add.at(impulses, idx, _weighted_loss_grads(data, x_obs))
     if mode == "forward":
-        grad = np.einsum("riq,ri->q", sens_top, per_node)
+        grad = np.einsum("riq,ri->q", sens_top, impulses[request])
     else:
-        grad = integrate_adjoint(model, theta, grid, states, dict(zip(uniq_nodes.tolist(), per_node)))
+        grad = integrate_adjoint(model, theta, grid, states, impulses)
 
     value = float(np.sum(_loss_values(data, x_obs)))
     return GradientEvaluation(value=value, grad=grad, n_terms=len(data))

@@ -360,6 +360,39 @@ def test_bad_config_exit_code(tmp_path):
     assert main(["simulate", "--config", str(path)]) == 2
 
 
+def test_divergence_exits_with_an_error_line(tmp_path, capsys):
+    # one Ralston step per 1.5 time units leaves FitzHugh-Nagumo's stable region
+    config = str(REPO_CONFIGS / "fitzhugh_nagumo.ini")
+    argv = ["simulate", "--config", config, "--set", "observation.period=1.5"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: non-finite state at node 10 (t = 15)\n"
+
+
+def test_solve_writes_meta_when_replay_keeps_no_record(tmp_path, capsys):
+    # tau = 0 divides by zero in the first step: the only record is dropped
+    path = write_config(
+        tmp_path,
+        SMALL_FN
+        + """
+[solver]
+name = gd
+theta0 = explicit
+theta0_values = -1,1,0.5,0.7,0.8,0.0
+max_iter = 2
+
+[reference]
+max_iter = 10
+gtol = 1e-2
+""",
+    )
+    out = tmp_path / "solve"
+    assert main(["solve", "--config", str(path), "--output-dir", str(out)]) == 0
+    assert "final error nan" in capsys.readouterr().out
+    assert (out / "fitzhugh_nagumo_gd_none.csv").read_text() == "time,error\n"
+    meta = (out / "fitzhugh_nagumo_gd_none.meta").read_text()
+    assert "dropped_records = 1\n" in meta and "final_error = nan\n" in meta
+
+
 def test_help_describes_every_subcommand(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])

@@ -223,6 +223,13 @@ def test_nonfinite_theta_diverges_at_node_zero(sweep_paths):
         assert (err.value.node_index, err.value.time, step_count()) == (0, 0.0, 0), path
 
 
+def _final_impulse(grid, d, value):
+    """Impulses with ``value`` in every component at the last node only."""
+    impulses = np.zeros((len(grid.nodes), d))
+    impulses[-1] = value
+    return impulses
+
+
 def _parity_model(name):
     if name == "linear":
         a, b = [[-0.3, 1.0], [-1.0, -0.2]], [[1.0, 0.0], [0.5, -1.0]]
@@ -240,7 +247,7 @@ def test_compiled_sweeps_match_the_python_loops_bitwise(name, scale, sweep_paths
     grid = build_grid(model.t_span, 0.1, np.sort(rng.uniform(t0 + 0.01, t_end, 37)))
     theta = scale * model.theta_ref()
     rows = theta + 0.01 * (1.0 + np.abs(theta)) * rng.standard_normal((52, model.q))
-    impulses = {int(j): rng.standard_normal(model.d) for j in grid.obs_node}
+    impulses = rng.standard_normal((len(grid.nodes), model.d))  # nonzero at every node
     results = {}
     for path in sweep_paths:
         states = integrate_augmented(model, theta, grid)
@@ -281,7 +288,7 @@ def test_models_run_compiled_where_a_compiler_is_found(name, monkeypatch):
     theta = model.theta_ref()
     states = integrate_augmented(model, theta, grid)
     integrate_augmented(model, np.stack([theta, theta]), grid)
-    integrate_adjoint(model, theta, grid, states, {grid.n_steps: np.ones(model.d)})
+    integrate_adjoint(model, theta, grid, states, _final_impulse(grid, model.d, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +411,7 @@ def test_model_calls_per_step(monkeypatch):
         "batch": (lambda: integrate_augmented(model, np.stack([theta, 1.01 * theta]), grid), 4, 0),
         "sensitivity": (lambda: integrate_augmented_sensitivity(model, theta, grid, [n]), 4, 8),
         "adjoint": (
-            lambda: integrate_adjoint(model, theta, grid, states, {n: np.ones(model.d)}),
+            lambda: integrate_adjoint(model, theta, grid, states, _final_impulse(grid, model.d, 1.0)),
             3,
             8,
         ),
@@ -427,7 +434,7 @@ def test_compiled_sweeps_call_the_model_only_while_tracing():
         for _ in range(2):
             states = integrate_augmented(model, theta, grid)
             integrate_augmented(model, np.stack([theta, 1.01 * theta]), grid)
-            integrate_adjoint(model, theta, grid, states, {grid.n_steps: np.ones(model.d)})
+            integrate_adjoint(model, theta, grid, states, _final_impulse(grid, model.d, 1.0))
         totals.append(dict(counts))
     # one state step (4 rhs) and one adjoint step (3 rhs, 4 jac_x, 4 jac_p)
     assert totals == [{"rhs": 7, "jac": 8}] * 2
@@ -443,7 +450,7 @@ def test_adjoint_no_impulses_is_zero():
     grid = build_grid((0.0, 5.0), 0.25, np.empty(0))
     theta = model.theta_ref()
     states = integrate_augmented(model, theta, grid)
-    chi0 = integrate_adjoint(model, theta, grid, states, {})
+    chi0 = integrate_adjoint(model, theta, grid, states, np.zeros((len(grid.nodes), model.d)))
     assert np.array_equal(chi0, np.zeros(model.q))
 
 
@@ -453,7 +460,7 @@ def test_adjoint_scalar_closed_form():
     grid = build_grid((0.0, t_end), t_end / 256, np.empty(0))
     theta = np.array([1.0, 0.0])
     states = integrate_augmented(model, theta, grid)
-    chi0 = integrate_adjoint(model, theta, grid, states, {grid.n_steps: np.array([g])})
+    chi0 = integrate_adjoint(model, theta, grid, states, _final_impulse(grid, model.d, g))
     expected = np.exp(a * t_end) * g
     assert abs(chi0[0] - expected) / expected <= 1e-8
 
@@ -467,7 +474,8 @@ def test_adjoint_transposes_forward_sensitivity():
     theta = model.theta_ref() * 1.05
     rng = np.random.default_rng(23)
     nodes = sorted(rng.choice(np.arange(1, grid.n_steps + 1), size=9, replace=False))
-    impulses = {int(j): rng.standard_normal(model.d) for j in nodes}
+    impulses = np.zeros((len(grid.nodes), model.d))
+    impulses[nodes] = rng.standard_normal((len(nodes), model.d))
 
     sens = integrate_with_sensitivity(system, theta, grid, nodes)
     forward = np.zeros(model.q)
@@ -478,10 +486,22 @@ def test_adjoint_transposes_forward_sensitivity():
     assert np.linalg.norm(forward - backward) <= 1e-8 * (1.0 + np.linalg.norm(forward))
 
 
-def test_adjoint_impulse_on_invalid_node():
-    model = linear_system([[1.0]], [[0.0]], x0=[1.0], t_span=(0.0, 1.0))
-    grid = build_grid((0.0, 1.0), 0.5, np.empty(0))
-    theta = np.array([1.0, 0.0])
+def test_adjoint_rejects_wrong_shapes_on_both_paths(sweep_paths):
+    model = fitzhugh_nagumo()
+    grid = build_grid((0.0, 5.0), 0.25, np.empty(0))
+    theta = model.theta_ref()
     states = integrate_augmented(model, theta, grid)
-    with pytest.raises(ValueError):
-        integrate_adjoint(model, theta, grid, states, {99: np.array([1.0])})
+    impulses = np.ones((len(grid.nodes), model.d))
+    wrong = [
+        (theta[:-1], states, impulses),
+        (theta, states[:-1], impulses),
+        (theta, states[:, :1], impulses),
+        (theta, states, impulses[:-1]),
+        (theta, states, impulses.ravel()),  # as many doubles, flat
+    ]
+    for path in sweep_paths:
+        for theta_in, states_in, impulses_in in wrong:
+            with pytest.raises(ValueError, match="must have shape"):
+                integrate_adjoint(model, theta_in, grid, states_in, impulses_in)
+        with pytest.raises(TypeError):  # the node -> vector dict is gone
+            integrate_adjoint(model, theta, grid, states, {grid.n_steps: np.ones(model.d)})

@@ -8,6 +8,7 @@ import pytest
 
 from hfda.dynamics import MODEL_NAMES, fitzhugh_nagumo, get_model
 from hfda.integrate import DivergenceError, build_grid, reset_step_count, step_count
+from hfda.modify import accumulate_upper
 from hfda.observe import (
     ObservationModel,
     ObservationSet,
@@ -184,14 +185,18 @@ def test_gradient_forward_equals_adjoint(name):
     model = get_model(name)
     short = dataclasses.replace(model, t_span=(model.t_span[0], model.t_span[0] + 4.0))
     data = simulate_observations(short, short.params_ref, identity_observation(2, 0.1), 0.1, seed=7)
-    grid = build_grid(short.t_span, 0.5, data.distinct_times())
+    # ten observations share each of the upper times 1.0, 2.0, 3.0 and 4.0
+    accumulated = accumulate_upper(data, np.array([1.0, 2.0, 3.0, 4.0]))
+    assert len(accumulated.distinct_times()) == 4 < len(accumulated)
     rng = np.random.default_rng(5)
-    for _ in range(3):
-        theta = short.theta_ref() * (1.0 + 0.05 * rng.standard_normal(short.q))
-        gf = gradient(short, theta, data, grid, mode="forward")
-        ga = gradient(short, theta, data, grid, mode="adjoint")
-        assert np.linalg.norm(gf.grad - ga.grad) <= 1e-8 * (1.0 + np.linalg.norm(gf.grad))
-        assert gf.n_terms == ga.n_terms == len(data)
+    for observed in (data, accumulated):
+        grid = build_grid(short.t_span, 0.5, observed.distinct_times())
+        for _ in range(3):
+            theta = short.theta_ref() * (1.0 + 0.05 * rng.standard_normal(short.q))
+            gf = gradient(short, theta, observed, grid, mode="forward")
+            ga = gradient(short, theta, observed, grid, mode="adjoint")
+            assert np.linalg.norm(gf.grad - ga.grad) <= 1e-8 * (1.0 + np.linalg.norm(gf.grad))
+            assert gf.n_terms == ga.n_terms == len(observed)
 
 
 def test_gradient_matches_finite_differences(fn_small):
