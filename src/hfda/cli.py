@@ -189,6 +189,7 @@ def _write_observation_metadata(config: ExperimentConfig, data, path: Path) -> N
     obs = data.model
     lines = {
         "model": config.model,
+        "h": config.h,
         "period": config.obs_period,
         "sigma": config.obs_sigma,
         "seed": config.stream("observation", config.obs_seed),
@@ -229,7 +230,9 @@ def cmd_modify(config: ExperimentConfig) -> int:
 
 
 def cmd_solve(config: ExperimentConfig) -> int:
-    """Fit one solver on the (optionally modified) problem and write its trace."""
+    """Fit one solver on the (optionally modified) problem and write its trace.
+
+    Exits 1 when replay kept no finite record."""
     name, scheme = config.solver_name, config.modify_scheme
     run = harness.run_one(
         config, harness.prepare_baseline(config), f"{name}_{scheme}", name, scheme,
@@ -242,7 +245,7 @@ def cmd_solve(config: ExperimentConfig) -> int:
         f"{run.trace.terminated_by} after {run.trace.n_iterations} iterations, "
         f"final error {run.final_error:.3e} -> {csv_path}"
     )
-    return 0
+    return 0 if len(run.errors) else 1
 
 
 def cmd_check(config: ExperimentConfig) -> int:

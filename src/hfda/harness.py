@@ -187,6 +187,7 @@ def build_data(config: ExperimentConfig) -> tuple[ModelSpec, ObservationSet]:
         obs_model,
         config.obs_period,
         seed=config.stream("observation", config.obs_seed),
+        h=config.h,
     )
     return model, data
 
@@ -260,8 +261,9 @@ def relative_error(objective_fn, theta_mod: Array, theta_nomod: Array) -> float:
 # Bumped whenever cached fits stop matching what a fresh fit would give
 # (for example after an integrator change moves trajectories at roundoff)
 # or the cached payload changes (3: converged fits only, with their
-# termination cause and iteration count).
-REFERENCE_FORMAT = 3
+# termination cause and iteration count; 4: data at a period coarser than
+# h simulated on the step-h grid).
+REFERENCE_FORMAT = 4
 
 
 def _reference_key(config: ExperimentConfig) -> str:

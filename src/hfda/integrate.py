@@ -83,18 +83,10 @@ def step_count() -> int:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing integration nodes with an observation-node map.
-
-    Attributes:
-        nodes: node times, nodes[0] = t0.
-        h: nominal step size used to build the regular part of the grid.
-        obs_node: node index of each observation time the grid was built
-            from (parallel to the ``obs_times`` argument of the builder).
-    """
+    """Strictly increasing integration nodes, nodes[0] = t0; ``node_index``
+    maps observation times to them."""
 
     nodes: Array
-    h: float
-    obs_node: Array
 
     @property
     def t0(self) -> float:
@@ -161,13 +153,10 @@ def build_grid(t_span: tuple[float, float], h: float, obs_times: Array) -> TimeG
         nodes = np.sort(np.concatenate([nodes, np.asarray(inserts)]))
     if np.any(np.diff(nodes) <= 0):
         raise ValueError("grid construction produced non-increasing nodes")
-
-    grid = TimeGrid(nodes=nodes, h=h, obs_node=np.empty(0, dtype=int))
-    obs_node = grid.node_index(obs_times) if obs_times.size else np.empty(0, dtype=int)
-    return TimeGrid(nodes=nodes, h=h, obs_node=obs_node)
+    return TimeGrid(nodes)
 
 
-def grid_from_times(t0: float, times: Array, h: float = 0.0) -> TimeGrid:
+def grid_from_times(t0: float, times: Array) -> TimeGrid:
     """Grid whose nodes are t0 followed by the given times (no regular part).
 
     This is the coarse grid used by sampled gradients: one step per retained
@@ -178,9 +167,7 @@ def grid_from_times(t0: float, times: Array, h: float = 0.0) -> TimeGrid:
     if uniq.size and uniq[0] < t0:
         raise ValueError("times must not precede t0")
     nodes = uniq if uniq.size and uniq[0] == t0 else np.concatenate([[t0], uniq])
-    grid = TimeGrid(nodes=nodes, h=h, obs_node=np.empty(0, dtype=int))
-    obs_node = grid.node_index(times) if times.size else np.empty(0, dtype=int)
-    return TimeGrid(nodes=nodes, h=h, obs_node=obs_node)
+    return TimeGrid(nodes)
 
 
 @dataclass(frozen=True)

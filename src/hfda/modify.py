@@ -87,15 +87,13 @@ def _accumulate(data: ObservationSet, predetermined: Array, assign) -> Observati
 def _average(data: ObservationSet, predetermined: Array, assign) -> ObservationSet:
     predetermined = _check_predetermined(data, predetermined)
     target = assign(data.times, predetermined)
-    used = np.unique(target)
-    times = predetermined[used]
-    values = np.empty((len(used), data.values.shape[1]))
-    counts = np.empty(len(used))
-    for row, j in enumerate(used):
-        members = target == j
-        values[row] = data.values[members].mean(axis=0)
-        counts[row] = members.sum()
-    return ObservationSet(times=times, values=values, model=data.model, weights=counts)
+    used, group = np.unique(target, return_inverse=True)
+    sums = np.zeros((len(used), data.values.shape[1]))
+    np.add.at(sums, group, data.values)
+    counts = np.bincount(group).astype(float)
+    return ObservationSet(
+        times=predetermined[used], values=sums / counts[:, None], model=data.model, weights=counts
+    )
 
 
 def accumulate_upper(data: ObservationSet, predetermined: Array) -> ObservationSet:

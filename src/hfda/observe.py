@@ -23,6 +23,7 @@ from scipy.special import ndtri
 from .dynamics import ModelSpec
 from .integrate import (
     TimeGrid,
+    build_grid,
     grid_from_times,
     integrate_adjoint,
     integrate_augmented,
@@ -185,13 +186,17 @@ def simulate_observations(
     seed: int,
     x0: Array | None = None,
     noise: bool = True,
+    h: float | None = None,
 ) -> ObservationSet:
     """Generate y_i = H x(t_i; params_star) + eps_i on a regular time mesh.
 
     The reference trajectory is integrated with one step per observation
-    period.  Noise is drawn from a generator seeded with ``seed`` alone, so
-    the result is a pure function of its arguments.  ``noise=False`` is the
-    zero-covariance limit: y_i = H x(t_i) exactly.
+    period, or, when a step ``h`` shorter than the period is given, on the
+    step-h grid through the observation times, so the truth is never
+    integrated more coarsely than the fit.  Noise is drawn from a generator
+    seeded with ``seed`` alone, so the result is a pure function of its
+    arguments.  ``noise=False`` is the zero-covariance limit: y_i = H x(t_i)
+    exactly.
     """
     if obs_model.d != model.d:
         raise ValueError("observation operator width must match the model state dimension")
@@ -200,8 +205,11 @@ def simulate_observations(
     if times.size == 0:
         raise ValueError("observation period exceeds the integration interval")
     z0 = np.concatenate([x0, np.asarray(params_star, dtype=float)])
-    grid = grid_from_times(model.t_span[0], times, h=obs_period)
-    x_obs = integrate_augmented(model, z0, grid)[grid.obs_node]
+    if h is not None and obs_period > h:
+        grid = build_grid(model.t_span, h, times)
+    else:
+        grid = grid_from_times(model.t_span[0], times)
+    x_obs = integrate_augmented(model, z0, grid)[grid.node_index(times)]
 
     y = x_obs @ obs_model.h_matrix.T
     if noise:

@@ -156,7 +156,7 @@ class Problem:
         or their union with the regular step grid."""
         times = self.data.times[sample.indices]
         if coarse:
-            return grid_from_times(self.model.t_span[0], times, h=self.h)
+            return grid_from_times(self.model.t_span[0], times)
         return build_grid(self.model.t_span, self.h, np.unique(times))
 
     def stochastic_gradient(

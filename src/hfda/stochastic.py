@@ -189,16 +189,15 @@ def residual_system(
     obs = data.model
     idx = sample.indices
     node_idx = grid.node_index(data.times[idx])
-    uniq_nodes, inv = np.unique(node_idx, return_inverse=True)
 
-    states, _, sens_top = integrate_augmented_sensitivity(
-        model, np.asarray(theta, dtype=float), grid, uniq_nodes
+    states, request, sens_top = integrate_augmented_sensitivity(
+        model, np.asarray(theta, dtype=float), grid, node_idx
     )
     x_obs = states[node_idx]
     r = (data.values[idx] - x_obs @ obs.h_matrix.T).reshape(-1)
 
     # rows of H x_theta restricted to the physical block, per sampled time
-    hx = obs.h_matrix @ sens_top[inv]  # (m, n, q)
+    hx = obs.h_matrix @ sens_top[np.searchsorted(request, node_idx)]  # (m, n, q)
     d_matrix = hx.reshape(-1, model.q)
 
     scale = data.weights[idx] / sample.pi  # per-block multiplier on V^-1

@@ -363,9 +363,18 @@ def test_bad_config_exit_code(tmp_path):
 def test_divergence_exits_with_an_error_line(tmp_path, capsys):
     # one Ralston step per 1.5 time units leaves FitzHugh-Nagumo's stable region
     config = str(REPO_CONFIGS / "fitzhugh_nagumo.ini")
-    argv = ["simulate", "--config", config, "--set", "observation.period=1.5"]
+    argv = ["simulate", "--config", config]
+    argv += ["--set", "observation.period=1.5", "--set", "experiment.h=1.5"]
     assert main(argv + ["--output-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: non-finite state at node 10 (t = 15)\n"
+
+
+def test_simulate_integrates_a_coarse_period_on_the_step_grid(tmp_path):
+    config = str(REPO_CONFIGS / "fitzhugh_nagumo.ini")
+    argv = ["simulate", "--config", config, "--set", "observation.period=1.5"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    meta = (tmp_path / "fitzhugh_nagumo_observations.meta").read_text().splitlines()
+    assert "h = 1.0" in meta and "period = 1.5" in meta
 
 
 def test_solve_writes_meta_when_replay_keeps_no_record(tmp_path, capsys):
@@ -386,7 +395,7 @@ gtol = 1e-2
 """,
     )
     out = tmp_path / "solve"
-    assert main(["solve", "--config", str(path), "--output-dir", str(out)]) == 0
+    assert main(["solve", "--config", str(path), "--output-dir", str(out)]) == 1
     assert "final error nan" in capsys.readouterr().out
     assert (out / "fitzhugh_nagumo_gd_none.csv").read_text() == "time,error\n"
     meta = (out / "fitzhugh_nagumo_gd_none.meta").read_text()

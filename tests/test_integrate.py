@@ -46,7 +46,7 @@ class LinearSystem:
 def test_build_grid_obs_on_regular_nodes():
     grid = build_grid((0.0, 1.0), 0.5, np.array([0.5, 1.0]))
     assert np.allclose(grid.nodes, [0.0, 0.5, 1.0])
-    assert np.array_equal(grid.obs_node, [1, 2])
+    assert np.array_equal(grid.node_index(np.array([0.5, 1.0])), [1, 2])
 
 
 def test_build_grid_high_frequency_spacing_dominates():
@@ -56,7 +56,7 @@ def test_build_grid_high_frequency_spacing_dominates():
     diffs = np.diff(grid.nodes)
     assert np.allclose(diffs, 0.01, atol=1e-12)
     # every observation time is exactly a node
-    assert np.array_equal(grid.nodes[grid.obs_node], times)
+    assert np.array_equal(grid.nodes[grid.node_index(times)], times)
 
 
 def test_build_grid_empty_obs_uniform():
@@ -67,13 +67,13 @@ def test_build_grid_empty_obs_uniform():
 def test_build_grid_inserts_offgrid_observation():
     grid = build_grid((0.0, 1.0), 0.5, np.array([0.3]))
     assert np.allclose(grid.nodes, [0.0, 0.3, 0.5, 1.0])
-    assert grid.nodes[grid.obs_node[0]] == 0.3
+    assert grid.nodes[grid.node_index(0.3)[0]] == 0.3
 
 
 def test_build_grid_snaps_float_dust():
     t_obs = 0.1 + 0.2  # 0.30000000000000004
     grid = build_grid((0.0, 1.0), 0.3, np.array([t_obs]))
-    assert grid.nodes[grid.obs_node[0]] == t_obs
+    assert grid.nodes[grid.node_index(t_obs)[0]] == t_obs
     assert len(grid.nodes) == 5  # snapped, not inserted
 
 
@@ -97,6 +97,32 @@ def test_grid_never_steps_over_observations():
     grid = build_grid((0.0, 10.0), 0.7, times)
     assert np.array_equal(grid.nodes[grid.node_index(times)], times)
     assert np.all(np.diff(grid.nodes) <= 0.7 + 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_grid_builders_put_every_time_on_a_node(seed):
+    rng = np.random.default_rng(seed)
+    t0 = float(rng.uniform(-10.0, 10.0))
+    t_end = t0 + float(rng.uniform(0.5, 60.0))
+    h = (t_end - t0) / float(rng.uniform(1.0, 80.0))
+    tol = 1e-9 * max(abs(t_end), t_end - t0)
+    regular = t0 + h * np.arange(int((t_end - t0) / h) + 1)
+    near = regular + tol * rng.uniform(-1.0, 1.0, regular.size)  # snapped to a regular node
+    dust = t0 + np.cumsum(np.full(regular.size, h))  # regular nodes up to float dust
+    pool = np.concatenate([near, dust, rng.uniform(t0, t_end, 40)])
+    pool = pool[(pool >= t0) & (pool <= t_end)]
+    times = np.unique(rng.choice(pool, size=rng.integers(1, pool.size + 1), replace=False))
+
+    grid = build_grid((t0, t_end), h, times)
+    assert np.all(np.diff(grid.nodes) > 0)
+    assert np.all(np.diff(grid.nodes) <= h + 2 * tol)
+    assert np.array_equal(grid.nodes[grid.node_index(times)], times)
+
+    repeated = np.repeat(times, rng.integers(1, 4, times.size))  # shared times
+    coarse = grid_from_times(t0, repeated)
+    assert np.all(np.diff(coarse.nodes) > 0)
+    assert np.array_equal(coarse.nodes, np.union1d([t0], times))
+    assert np.array_equal(coarse.nodes[coarse.node_index(repeated)], repeated)
 
 
 def test_node_index_rejects_off_grid_times():

@@ -6,6 +6,8 @@ import pytest
 from hfda.modify import (
     ModificationScheme,
     SCHEME_KINDS,
+    _assign_nearest,
+    _assign_upper,
     accumulate_nearest,
     accumulate_upper,
     average_nearest,
@@ -129,6 +131,39 @@ def test_averaging_conserves_member_counts(fn_small):
     for fn in (average_upper, average_nearest):
         out = fn(data, targets)
         assert np.sum(out.weights) == len(data)
+
+
+def _average_by_group_loop(data, predetermined, assign):
+    """Group means computed one group at a time, as a reference."""
+    target = assign(data.times, predetermined)
+    used = np.unique(target)
+    values = np.array([data.values[target == j].mean(axis=0) for j in used])
+    counts = np.array([np.sum(target == j) for j in used], dtype=float)
+    return predetermined[used], values, counts
+
+
+@pytest.mark.parametrize(
+    "average, assign", [(average_upper, _assign_upper), (average_nearest, _assign_nearest)]
+)
+def test_average_matches_a_per_group_loop(average, assign):
+    # two-component values: numpy sums a single column pairwise in ``mean``,
+    # so a one-component record would agree only to roundoff
+    rng = np.random.default_rng(5)
+    sizes = rng.integers(1, 51, 60)
+    predetermined = np.arange(1.0, len(sizes) + 1.0)
+    times = np.concatenate(
+        [np.sort(rng.uniform(j - 1.0, j, n)) for j, n in zip(predetermined, sizes)]
+    )
+    obs = ObservationModel(h_matrix=np.eye(2), v_matrix=np.eye(2))
+    values = rng.standard_normal((len(times), 2)) * rng.uniform(0.1, 100.0, (len(times), 1))
+    data = ObservationSet(times=times, values=values, model=obs)
+    out = average(data, predetermined)
+    ref_times, ref_values, ref_counts = _average_by_group_loop(data, predetermined, assign)
+    assert np.array_equal(out.times, ref_times)
+    assert np.array_equal(out.values, ref_values)
+    assert np.array_equal(out.weights, ref_counts)
+    if average is average_upper:
+        assert np.array_equal(out.weights, sizes)
 
 
 # ---------------------------------------------------------------------------

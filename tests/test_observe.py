@@ -96,9 +96,26 @@ def test_simulate_noiseless_limit_is_exact_transform(fn_small_noiseless):
     from hfda.integrate import grid_from_times, integrate_augmented
 
     model, data, _ = fn_small_noiseless
-    grid = grid_from_times(model.t_span[0], data.times, h=0.05)
-    x = integrate_augmented(model, model.theta_ref(), grid)[grid.obs_node]
+    grid = grid_from_times(model.t_span[0], data.times)
+    x = integrate_augmented(model, model.theta_ref(), grid)[grid.node_index(data.times)]
     assert np.array_equal(data.values, x @ data.model.h_matrix.T)
+
+
+def test_simulate_truth_is_never_integrated_more_coarsely_than_h():
+    from hfda.integrate import integrate_augmented
+
+    model = fitzhugh_nagumo()
+    obs_model = identity_observation(model.d, 0.1)
+    with pytest.raises(DivergenceError):  # one step per period of 1.5
+        simulate_observations(model, model.params_ref, obs_model, 1.5, seed=0)
+    data = simulate_observations(model, model.params_ref, obs_model, 1.5, 0, noise=False, h=1.0)
+    grid = build_grid(model.t_span, 1.0, data.times)
+    x = integrate_augmented(model, model.theta_ref(), grid)[grid.node_index(data.times)]
+    assert np.array_equal(data.values, x)
+    # a period no coarser than h keeps one step per period
+    fine = simulate_observations(model, model.params_ref, obs_model, 0.01, 3)
+    fine_h = simulate_observations(model, model.params_ref, obs_model, 0.01, 3, h=1.0)
+    assert np.array_equal(fine.values, fine_h.values)
 
 
 def test_simulate_observation_count_matches_high_frequency_setup():

@@ -3,8 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hfda.integrate import reset_step_count, step_count
+from hfda.integrate import integrate_augmented_sensitivity, reset_step_count, step_count
+from hfda.modify import accumulate_upper, default_predetermined
 from hfda.observe import gradient
+from hfda.optimize import Problem
 from hfda.stochastic import (
     ResidualSystem,
     SampleSet,
@@ -212,6 +214,24 @@ def test_single_observation_scalar_blocks(fn_small):
     assert np.allclose(rs.r, expected_r, rtol=0, atol=0)
     assert rs.d_matrix.shape == (2, model.q)
     assert np.allclose(rs.w_inv_blocks[0], 4.0 * obs.v_inv)
+
+
+def test_residual_rows_on_shared_times_follow_each_observation_node(fn_small):
+    model, data, _ = fn_small
+    shared = accumulate_upper(data, default_predetermined(model.t_span, 0.05, 0.1))
+    problem = Problem(model, shared, h=0.25)
+    theta = model.theta_ref() * 1.03
+    sample = offsets_sample(len(shared), 3, 1)
+    rs = residual_system(model, theta, shared, sample, problem.grid)
+
+    nodes = problem.grid.node_index(shared.times[sample.indices])
+    assert len(np.unique(nodes)) < len(nodes)  # several sampled rows per node
+    every_node = np.arange(len(problem.grid.nodes))
+    states, _, sens = integrate_augmented_sensitivity(model, theta, problem.grid, every_node)
+    h_matrix = shared.model.h_matrix
+    expected_r = [shared.values[i] - h_matrix @ states[j] for i, j in zip(sample.indices, nodes)]
+    assert np.array_equal(rs.r, np.concatenate(expected_r))
+    assert np.array_equal(rs.d_matrix, np.concatenate([h_matrix @ sens[j] for j in nodes]))
 
 
 def test_dense_weight_views_are_consistent():
