@@ -265,7 +265,8 @@ def cmd_table1(config: ExperimentConfig) -> int:
         print(f"{row.scheme:<20} {row.potp:>6g} {row.relative_error:>16.6e} {row.status}")
     out = Path(config.output_dir) / f"{config.model}_relative_error.csv"
     print(f"table1: wrote {out}")
-    # rows rescued by a larger damping ("ok(damping_rel=...)") are successes
+    # rows that stopped at max_iter or were rescued by a larger damping
+    # ("ok(damping_rel=...)") still produced a fit; only "failed" did not
     return 1 if any(r.status == "failed" for r in report.rows) else 0
 
 

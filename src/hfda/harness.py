@@ -262,8 +262,9 @@ def relative_error(objective_fn, theta_mod: Array, theta_nomod: Array) -> float:
 # (for example after an integrator change moves trajectories at roundoff)
 # or the cached payload changes (3: converged fits only, with their
 # termination cause and iteration count; 4: data at a period coarser than
-# h simulated on the step-h grid).
-REFERENCE_FORMAT = 4
+# h simulated on the step-h grid; 5: Gauss-Newton solves through numpy's
+# Cholesky factor).
+REFERENCE_FORMAT = 5
 
 
 def _reference_key(config: ExperimentConfig) -> str:
@@ -333,7 +334,9 @@ class StudyRow:
     scheme: str
     potp: float
     relative_error: float
-    status: str  # "ok" | "failed"
+    # "ok" (converged), "max_iter" (stopped at table1_max_iter) or "failed";
+    # a fit rescued by a larger damping carries "(damping_rel=...)"
+    status: str
 
 
 @dataclass(frozen=True)
@@ -344,7 +347,9 @@ class RelativeErrorReport:
 
 def _fit_modified(config: ExperimentConfig, model: ModelSpec, prob_mod: Problem) -> tuple:
     """GN from the reference state, escalating the damping factor if a run
-    diverges (a hand-tuned safeguard for badly displaced data)."""
+    diverges (a hand-tuned safeguard for badly displaced data).  The status
+    says whether the fit converged ("ok") or ran out of iterations
+    ("max_iter")."""
     for damping_rel in (1e-8, 1e-4, 1e-2, 1.0):
         try:
             trace = run_gauss_newton(
@@ -358,7 +363,9 @@ def _fit_modified(config: ExperimentConfig, model: ModelSpec, prob_mod: Problem)
         except SolverError:
             continue
         if trace.terminated_by != "divergence" and np.all(np.isfinite(trace.final_theta)):
-            status = "ok" if damping_rel == 1e-8 else f"ok(damping_rel={damping_rel:g})"
+            status = "max_iter" if trace.terminated_by == "max_iter" else "ok"
+            if damping_rel != 1e-8:
+                status += f"(damping_rel={damping_rel:g})"
             return trace.final_theta, status
     return None, "failed"
 

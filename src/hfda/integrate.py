@@ -114,10 +114,10 @@ class TimeGrid:
 def build_grid(t_span: tuple[float, float], h: float, obs_times: Array) -> TimeGrid:
     """Union of a regular step-h grid with observation times.
 
-    Observation times within 1e-9 * |t_end| of a regular node are snapped to
-    it (the node adopts the observation's float value, so observation times
-    always match their node bitwise); all others are inserted, shortening
-    a step.
+    Observation times within 1e-9 * |t_end| of a regular node after t0 are
+    snapped to it (the node adopts the observation's float value, so
+    observation times always match their node bitwise); all others are
+    inserted, shortening a step.  The first node is always t0.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if h <= 0.0:
@@ -144,7 +144,7 @@ def build_grid(t_span: tuple[float, float], h: float, obs_times: Array) -> TimeG
     for t_obs in obs_times:
         j = int(np.clip(np.searchsorted(nodes, t_obs), 1, len(nodes) - 1))
         j = j if abs(nodes[j] - t_obs) <= abs(nodes[j - 1] - t_obs) else j - 1
-        if abs(nodes[j] - t_obs) <= tol and not snapped[j]:
+        if abs(nodes[j] - t_obs) <= tol and not snapped[j] and (j > 0 or t_obs == t0):
             nodes[j] = t_obs  # node adopts the observation's float value
             snapped[j] = True
         else:

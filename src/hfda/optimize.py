@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .dynamics import ModelSpec
 from .integrate import DivergenceError, TimeGrid, build_grid, grid_from_times
@@ -51,15 +50,25 @@ def _sym(m: Array) -> Array:
     return 0.5 * (m + m.T)
 
 
-def _spd_factor(m: Array, what: str):
+def _spd_factor(m: Array, what: str) -> Array:
+    """Lower Cholesky factor L of m = L L'."""
     try:
-        return cho_factor(m, lower=True)
-    except LinAlgError:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
         cond = float(np.linalg.cond(m))
         raise SolverError(
             f"{what}: matrix is not positive definite through roundoff "
             f"(condition estimate {cond:.3e}); increase damping"
         ) from None
+
+
+def _cho_solve(l: Array, b: Array) -> Array:
+    """m^-1 b from the factor L of ``_spd_factor``: L y = b, then L' x = y.
+
+    numpy has no triangular solver, so each half is a general solve with
+    the triangular factor.
+    """
+    return np.linalg.solve(l.T, np.linalg.solve(l, b))
 
 
 @dataclass(frozen=True)
@@ -320,8 +329,8 @@ def run_gauss_newton(
         rhs = d.T @ wr
         normal = _sym(d.T @ rs.w_inv_apply(d))
         lam = damping if damping is not None else damping_rel * np.trace(normal) / len(free)
-        cf = _spd_factor(normal + lam * np.eye(len(free)), "Gauss-Newton normal equations")
-        delta = cho_solve(cf, rhs)
+        chol = _spd_factor(normal + lam * np.eye(len(free)), "Gauss-Newton normal equations")
+        delta = _cho_solve(chol, rhs)
         theta_new = theta.copy()
         theta_new[free] += delta
         proxy = float(0.5 * rs.r @ wr)
@@ -382,17 +391,17 @@ def ksgd_step(
         if state.c_inv is None:
             raise SolverError("information form requires the precision matrix")
         c_inv_new = _sym(state.c_inv + d.T @ rs.w_inv_apply(d))
-        cf = _spd_factor(c_inv_new, "kSGD precision solve")
-        delta = cho_solve(cf, d.T @ rs.w_inv_apply(rs.r))
+        chol = _spd_factor(c_inv_new, "kSGD precision solve")
+        delta = _cho_solve(chol, d.T @ rs.w_inv_apply(rs.r))
         if state.c is not None:
-            c_new = _sym(cho_solve(cf, np.eye(len(free))))
+            c_new = _sym(_cho_solve(chol, np.eye(len(free))))
     else:
         if state.c is None:
             raise SolverError("covariance form requires the covariance matrix")
         cd = state.c @ d.T
-        cf = _spd_factor(_sym(rs.w + d @ cd), "kSGD innovation solve")
-        delta = cd @ cho_solve(cf, rs.r)
-        c_new = _sym(state.c - cd @ cho_solve(cf, cd.T))
+        chol = _spd_factor(_sym(rs.w + d @ cd), "kSGD innovation solve")
+        delta = cd @ _cho_solve(chol, rs.r)
+        c_new = _sym(state.c - cd @ _cho_solve(chol, cd.T))
         if state.c_inv is not None:
             c_inv_new = _sym(state.c_inv + d.T @ rs.w_inv_apply(d))
 

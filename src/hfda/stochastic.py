@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .dynamics import ModelSpec
 from .integrate import TimeGrid, integrate_augmented_sensitivity
@@ -171,11 +170,19 @@ class ResidualSystem:
 
     @property
     def w_inv(self) -> Array:
-        return block_diag(*self.w_inv_blocks)
+        return _block_diag(self.w_inv_blocks)
 
     @property
     def w(self) -> Array:
-        return block_diag(*np.linalg.inv(self.w_inv_blocks))
+        return _block_diag(np.linalg.inv(self.w_inv_blocks))
+
+
+def _block_diag(blocks: Array) -> Array:
+    """Dense block-diagonal matrix of an (m, n, n) stack of blocks."""
+    m, n = blocks.shape[:2]
+    out = np.zeros((m * n, m * n))
+    out.reshape(m, n, m, n)[np.arange(m), :, np.arange(m), :] = blocks
+    return out
 
 
 def residual_system(

@@ -303,11 +303,15 @@ def _fake_study(status):
     return lambda config, write_csv=True: harness.RelativeErrorReport(rows, 1.0)
 
 
-def test_table1_exit_code_follows_failed_rows(tmp_path, monkeypatch):
+def test_table1_exit_code_follows_failed_rows(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, SMALL_FN)
     argv = ["table1", "--config", str(path), "--output-dir", str(tmp_path / "t")]
     monkeypatch.setattr(harness, "run_table1_study", _fake_study("ok(damping_rel=0.0001)"))
     assert main(argv) == 0  # a row rescued by larger damping is a success
+    monkeypatch.setattr(harness, "run_table1_study", _fake_study("max_iter"))
+    capsys.readouterr()
+    assert main(argv) == 0  # a fit that ran out of iterations still produced an estimate
+    assert capsys.readouterr().out.splitlines()[3].endswith(" max_iter")
     monkeypatch.setattr(harness, "run_table1_study", _fake_study("failed"))
     assert main(argv) == 1
 

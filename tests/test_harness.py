@@ -21,7 +21,7 @@ from hfda.harness import (
     resolve_theta0,
     run_checks,
 )
-from hfda.optimize import RunTrace, StepSchedule, run_gd
+from hfda.optimize import RunTrace, SolverError, StepSchedule, run_gauss_newton, run_gd
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +213,26 @@ def test_reference_cache_holds_converged_fits_only(small_config, tmp_path):
     payload = json.loads(cache.read_text())
     assert payload["terminated_by"] == "converged"
     assert 1 <= payload["iterations"] <= small_config.ref_max_iter
+
+
+def test_study_status_says_whether_a_fit_converged(small_config, monkeypatch):
+    model, data = build_data(small_config)
+    problem = build_problem(small_config, model, data)
+    theta, status = harness._fit_modified(small_config, model, problem)
+    assert status == "ok" and np.all(np.isfinite(theta))
+
+    capped = dataclasses.replace(small_config, table1_max_iter=1, table1_gtol=0.0)
+    theta, status = harness._fit_modified(capped, model, problem)
+    assert status == "max_iter" and np.all(np.isfinite(theta))
+
+    def fail_smallest_damping(*args, damping_rel, **kwargs):
+        if damping_rel == 1e-8:
+            raise SolverError("normal equations")
+        return run_gauss_newton(*args, damping_rel=damping_rel, **kwargs)
+
+    monkeypatch.setattr(harness, "run_gauss_newton", fail_smallest_damping)
+    _, status = harness._fit_modified(capped, model, problem)
+    assert status == "max_iter(damping_rel=0.0001)"
 
 
 def test_run_checks_catch_corrupted_jacobian(small_config):

@@ -112,8 +112,10 @@ def test_grid_builders_put_every_time_on_a_node(seed):
     pool = np.concatenate([near, dust, rng.uniform(t0, t_end, 40)])
     pool = pool[(pool >= t0) & (pool <= t_end)]
     times = np.unique(rng.choice(pool, size=rng.integers(1, pool.size + 1), replace=False))
+    times = np.union1d(times, [t0 + tol * rng.uniform(0.1, 1.0)])  # within tol after t0
 
     grid = build_grid((t0, t_end), h, times)
+    assert grid.nodes[0] == t0
     assert np.all(np.diff(grid.nodes) > 0)
     assert np.all(np.diff(grid.nodes) <= h + 2 * tol)
     assert np.array_equal(grid.nodes[grid.node_index(times)], times)

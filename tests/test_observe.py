@@ -1,21 +1,25 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hfda.dynamics import MODEL_NAMES, fitzhugh_nagumo, get_model
+from hfda.harness import ExperimentConfig, build_data
 from hfda.integrate import DivergenceError, build_grid, reset_step_count, step_count
 from hfda.modify import accumulate_upper
 from hfda.observe import (
+    _EXP_M2,
     ObservationModel,
     ObservationSet,
     gradient,
     identity_observation,
     loss,
     loss_grad,
+    ndtri,
     objective,
     objective_many,
     read_observations_csv,
@@ -147,6 +151,45 @@ def test_golden_observations_regenerate():
     assert len(golden) == len(data) == 40
     assert np.allclose(data.times, golden.times, rtol=0, atol=0)
     assert np.allclose(data.values, golden.values, rtol=1e-12, atol=1e-14)
+
+
+def test_ndtri_is_bitwise_scipy():
+    """The in-repo quantile gives scipy's bits on the centre, both tails, the
+    z = 8 split, the exp(-2) branch points and the clamp at finfo.tiny."""
+    scipy_special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(7)
+    edges = []
+    for b in (_EXP_M2, 1.0 - _EXP_M2):
+        edges.extend(b + np.arange(-8, 9) * np.spacing(b))
+        edges.extend([np.nextafter(b, 0.0), b, np.nextafter(b, 1.0)])
+    u = np.concatenate(
+        [
+            np.maximum(rng.random(100_000), np.finfo(float).tiny),
+            np.logspace(-300, -1, 20_000),
+            1.0 - np.logspace(-16, -1, 20_000),
+            edges,
+            [np.finfo(float).tiny, 0.5, np.nextafter(1.0, 0.0)],
+        ]
+    )
+    ours, theirs = ndtri(u), scipy_special.ndtri(u)
+    assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+    assert np.any(np.sqrt(-2.0 * np.log(u)) >= 8.0)  # the far tail is covered
+
+
+# sha256 of the observation values ``build_data`` gave at seed 1234 with
+# scipy.special.ndtri as the quantile function
+SEED_1234_DATA_SHA256 = {
+    "fitzhugh_nagumo": "4e6b991f9500d15cbabc9a603bf3a48575c7c641325d5c13062dce8ae43ad6ea",
+    "lotka_volterra": "4691583b28cf41d18d8b14f940022f25775fc6f1c455c8e0343efb7945e28a64",
+    "van_der_pol": "9bd0bff921c8c62a73e2d1c6fa1002516f1557d2fb0ddb4cbf3ca5cb48f9f1f2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_1234_DATA_SHA256))
+def test_shipped_data_is_bitwise_unchanged(name):
+    _, data = build_data(ExperimentConfig(model=name, seed=1234))
+    digest = hashlib.sha256(np.ascontiguousarray(data.values).tobytes()).hexdigest()
+    assert digest == SEED_1234_DATA_SHA256[name]
 
 
 # ---------------------------------------------------------------------------

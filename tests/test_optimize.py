@@ -10,6 +10,8 @@ from hfda.optimize import (
     Problem,
     SolverError,
     StepSchedule,
+    _cho_solve,
+    _spd_factor,
     ksgd_step,
     run_gauss_newton,
     run_gd,
@@ -271,6 +273,22 @@ def test_gauss_newton_respects_free_mask(fn_small):
     trace = run_gauss_newton(problem, theta0, max_iter=3)
     assert np.array_equal(trace.final_theta[: model.d], theta0[: model.d])
     assert not np.array_equal(trace.final_theta[model.d :], theta0[model.d :])
+
+
+def test_cholesky_solve_matches_scipy():
+    """The numpy factor-and-solve agrees with LAPACK's potrf/potrs through
+    scipy to roundoff on well-conditioned matrices and on matrix right-hand
+    sides, and a matrix that is not positive definite raises SolverError."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(11)
+    for q in range(1, 7):
+        m = random_spd(rng, q)
+        b = rng.standard_normal((q, 3))
+        ours = _cho_solve(_spd_factor(m, "test"), b)
+        theirs = scipy_linalg.cho_solve(scipy_linalg.cho_factor(m, lower=True), b)
+        assert np.allclose(ours, theirs, rtol=1e-12, atol=1e-14)
+    with pytest.raises(SolverError, match="test: matrix is not positive definite"):
+        _spd_factor(np.diag([1.0, -1e-3]), "test")
 
 
 def test_gauss_newton_singular_without_damping():

@@ -240,3 +240,12 @@ def test_dense_weight_views_are_consistent():
     assert np.array_equal(rs.w_inv, np.diag([2.0, 4.0]))
     assert np.array_equal(rs.w, np.diag([0.5, 0.25]))
     assert np.array_equal(rs.w_inv_apply(np.array([1.0, 1.0])), [2.0, 4.0])
+
+    blocks = np.random.default_rng(3).standard_normal((4, 2, 2))
+    rs = ResidualSystem(r=np.zeros(8), d_matrix=np.zeros((8, 1)), w_inv_blocks=blocks)
+    expected = np.zeros((8, 8))
+    for s, block in enumerate(blocks):
+        expected[2 * s : 2 * s + 2, 2 * s : 2 * s + 2] = block
+    assert np.array_equal(rs.w_inv, expected)
+    assert np.array_equal(rs.w[2:4, 2:4], np.linalg.inv(blocks[1]))
+    assert np.count_nonzero(rs.w) == 16
