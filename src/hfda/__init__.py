@@ -44,8 +44,6 @@ from .observe import (
     ObservationSet,
     gradient,
     identity_observation,
-    loss,
-    loss_grad,
     objective,
     simulate_observations,
 )

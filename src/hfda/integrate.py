@@ -17,12 +17,14 @@ recursion, re-running the forward stages to recover intra-step states, and
 row j of an (n_nodes, d) impulse array is added on the earlier side of
 node j.
 
-``integrate_augmented`` and ``integrate_adjoint`` run the compiled sweeps of
-``kernel`` where it can build them for the model: C generated by tracing
-``_stages`` and ``_adjoint_step`` on the model functions, bitwise equal to
-the Python loops, which stay as the fallback (no C compiler, or a model the
-tracer cannot follow) and as the oracle.  The tangent sweep always runs in
-Python.  Both paths count one step per grid step, a batch once.
+``integrate_augmented``, ``integrate_loss_terms`` and ``integrate_adjoint``
+run the compiled sweeps of ``kernel`` where it can build them for the model:
+C generated by tracing ``_stages`` and ``_adjoint_step`` on the model
+functions, bitwise equal to the Python loops, which stay as the fallback (no
+C compiler, or a model the tracer cannot follow) and as the oracle.
+``integrate_loss_terms`` is the state pass that returns the observations'
+weighted loss terms instead of the trajectory.  The tangent sweep always
+runs in Python.  Both paths count one step per grid step, a batch once.
 
 Grids are built so that every observation time is exactly one of the nodes;
 integration never steps across an observation time.
@@ -340,6 +342,23 @@ def _sweep(model: ModelSpec, theta: Array, grid: TimeGrid, request: Array | None
     return states, sens
 
 
+def _compiled_pass(run, theta: Array, grid: TimeGrid):
+    """(out, batch shape): ``run(rows, python_division, check) -> (out,
+    node)``, a compiled state pass, on the rows of theta (..., q), with the
+    divergence checks and the step count of ``integrate_augmented``."""
+    global _step_count
+    theta = np.asarray(theta, dtype=float)
+    check = theta.ndim == 1
+    if check and not np.all(np.isfinite(theta)):
+        raise DivergenceError(0, grid.t0)
+    rows = theta.reshape(-1, theta.shape[-1])
+    out, node = run(rows, len(rows) == 1, check)
+    _step_count += node or grid.n_steps
+    if node:
+        raise DivergenceError(node, float(grid.nodes[node]))
+    return out, theta.shape[:-1]
+
+
 def integrate_augmented(model: ModelSpec, theta: Array, grid: TimeGrid) -> Array:
     """Physical-state trajectory of the augmented system started at theta.
 
@@ -358,17 +377,44 @@ def integrate_augmented(model: ModelSpec, theta: Array, grid: TimeGrid) -> Array
     compiled = kernel.sweeps(model)
     if compiled is None:
         return _sweep(model, theta, grid)[0]
-    global _step_count
-    theta = np.asarray(theta, dtype=float)
-    check = theta.ndim == 1
-    if check and not np.all(np.isfinite(theta)):
-        raise DivergenceError(0, grid.t0)
-    rows = theta.reshape(-1, theta.shape[-1])
-    states, node = compiled.state(grid.nodes, rows, python_division=len(rows) == 1, check=check)
-    _step_count += node or grid.n_steps
-    if node:
-        raise DivergenceError(node, float(grid.nodes[node]))
-    return states.reshape((len(grid.nodes),) + theta.shape[:-1] + (model.d,))
+    states, batch = _compiled_pass(
+        lambda rows, pydiv, check: compiled.state(grid.nodes, rows, pydiv, check), theta, grid
+    )
+    return states.reshape((len(grid.nodes),) + batch + (model.d,))
+
+
+def integrate_loss_terms(model: ModelSpec, theta: Array, grid: TimeGrid, data) -> Array:
+    """Weighted loss terms of the observations along the trajectories from theta.
+
+    ``data`` is an ``observe.ObservationSet`` whose times are nodes of the
+    grid; the terms are those ``observe._loss_values`` defines, of shape
+    (N, ...) for theta of shape (..., q).  The pass is the one of
+    ``integrate_augmented``, with the same divergence checks, division
+    semantics and step count, but where the kernel has a compiled sweep for
+    the model it keeps no trajectory: the loop writes each observation's
+    term at its node, bitwise equal to ``_loss_values`` on the states, so
+    only the (N, ...) terms are allocated.  Without one it runs ``_sweep``
+    and ``_loss_values``.
+    """
+    from .observe import _loss_values  # observe imports this module
+
+    obs = data.model
+    if obs.d != model.d:
+        raise ValueError(f"observation operator width {obs.d} is not the state dimension {model.d}")
+    idx = grid.node_index(data.times)
+    compiled = kernel.sweeps(model)
+    if compiled is None:
+        states = _sweep(model, theta, grid)[0]
+        with np.errstate(all="ignore"):
+            return _loss_values(data, states[idx])
+
+    observed = (idx, data.values, data.weights, obs.h_matrix, obs.v_inv)
+    terms, batch = _compiled_pass(
+        lambda rows, pydiv, check: compiled.loss(grid.nodes, rows, pydiv, check, observed),
+        theta,
+        grid,
+    )
+    return terms.reshape((len(data),) + batch)
 
 
 def integrate_augmented_sensitivity(

@@ -27,6 +27,7 @@ from .integrate import (
     integrate_adjoint,
     integrate_augmented,
     integrate_augmented_sensitivity,
+    integrate_loss_terms,
 )
 
 Array = np.ndarray
@@ -238,18 +239,6 @@ class GradientEvaluation:
     n_terms: int
 
 
-def loss(obs_model: ObservationModel, y: Array, x_state: Array) -> float:
-    """0.5 * (y - Hx)' V^-1 (y - Hx) for a single observation."""
-    r = np.asarray(y, dtype=float) - obs_model.h_matrix @ np.asarray(x_state, dtype=float)
-    return float(np.sum((r @ obs_model.v_inv) * r, axis=-1) * 0.5)
-
-
-def loss_grad(obs_model: ObservationModel, y: Array, x_state: Array) -> Array:
-    """Derivative of ``loss`` with respect to the physical state: -H' V^-1 (y - Hx)."""
-    r = np.asarray(y, dtype=float) - obs_model.h_matrix @ np.asarray(x_state, dtype=float)
-    return -obs_model.h_matrix.T @ (obs_model.v_inv @ r)
-
-
 def observation_times(t_span: tuple[float, float], period: float) -> Array:
     """Integer multiples of the period in (t0, t_end], none at t0."""
     t0, t_end = t_span
@@ -302,35 +291,50 @@ def simulate_observations(
     return ObservationSet(times=times, values=y, model=obs_model)
 
 
+def _dot(a: list, b: list):
+    """a_0 b_0 + a_1 b_1 + ..., summed left to right from the first product."""
+    total = a[0] * b[0]
+    for u, v in zip(a[1:], b[1:]):
+        total = total + u * v
+    return total
+
+
 def _loss_values(data: ObservationSet, x_obs: Array) -> Array:
-    """Per-observation weighted losses; x_obs has shape (N, ..., d)."""
+    """Per-observation weighted losses w * (0.5 * quad); x_obs has shape
+    (N, ..., d), the result (N, ...).
+
+    With r = y - H x, quad = sum_i (sum_j r_j V^-1_ji) r_i.  The terms are
+    computed component by component, each sum left to right from its first
+    product: this is the definition, and the compiled loss pass of
+    ``integrate_loss_terms`` reproduces it bit for bit.  With an identity H
+    and a diagonal V every cross product is an exact zero, so the terms
+    equal those of the matrix form (y - H x)' V^-1 (y - H x).
+    """
     obs = data.model
-    r = data.values.reshape(data.values.shape[:1] + (1,) * (x_obs.ndim - 2) + data.values.shape[1:])
-    r = r - x_obs @ obs.h_matrix.T
-    quad = np.sum((r @ obs.v_inv) * r, axis=-1)
-    w = data.weights.reshape((len(data),) + (1,) * (quad.ndim - 1))
-    return w * (0.5 * quad)
+    lead = (len(data),) + (1,) * (x_obs.ndim - 2)
+    x = [x_obs[..., j] for j in range(obs.d)]
+    y = [data.values[:, i].reshape(lead) for i in range(obs.n)]
+    r = [y_i - _dot(h_i, x) for y_i, h_i in zip(y, obs.h_matrix.tolist())]
+    u = [_dot(r, column) for column in obs.v_inv.T.tolist()]
+    return data.weights.reshape(lead) * (0.5 * _dot(u, r))
 
 
 def objective(model: ModelSpec, theta: Array, data: ObservationSet, grid: TimeGrid) -> float:
     """Sum of weighted losses along the trajectory started at theta."""
-    states = integrate_augmented(model, np.asarray(theta, dtype=float), grid)
-    idx = grid.node_index(data.times)
-    return float(np.sum(_loss_values(data, states[idx])))
+    return float(np.sum(integrate_loss_terms(model, theta, grid, data)))
 
 
 def objective_many(model: ModelSpec, thetas: Array, data: ObservationSet, grid: TimeGrid) -> Array:
     """Objective at a batch of decision vectors, shape (K, q) -> (K,).
 
-    One vectorized integration serves all K evaluations; non-finite
-    trajectories yield NaN entries instead of raising.
+    One pass over the grid serves all K evaluations and allocates only the
+    (N, K) loss terms; non-finite trajectories yield NaN entries instead of
+    raising.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    states = integrate_augmented(model, thetas, grid)
-    idx = grid.node_index(data.times)
-    x_obs = states[idx]  # (N, K, d)
+    terms = integrate_loss_terms(model, thetas, grid, data)
     with np.errstate(all="ignore"):
-        vals = np.sum(_loss_values(data, x_obs), axis=0)
+        vals = np.sum(terms, axis=0)
     return np.where(np.isfinite(vals), vals, np.nan)
 
 

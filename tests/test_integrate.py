@@ -19,10 +19,12 @@ from hfda.integrate import (
     integrate_adjoint,
     integrate_augmented,
     integrate_augmented_sensitivity,
+    integrate_loss_terms,
     integrate_with_sensitivity,
     reset_step_count,
     step_count,
 )
+from hfda.observe import ObservationSet, identity_observation
 
 
 class LinearSystem:
@@ -220,9 +222,13 @@ def test_fast_paths_diverge_where_the_generic_oracle_does(sweep_paths):
     grid = build_grid(model.t_span, 1.5, np.empty(0))
     theta = model.theta_ref()
     end = [grid.n_steps]
+    data = ObservationSet(
+        times=grid.nodes[1:], values=np.zeros((grid.n_steps, 2)), model=identity_observation(2, 0.1)
+    )
     runs = [
         lambda: integrate(system, theta, grid),
         lambda: integrate_augmented(model, theta, grid),
+        lambda: integrate_loss_terms(model, theta, grid, data),
         lambda: integrate_with_sensitivity(system, theta, grid, end),
         lambda: integrate_augmented_sensitivity(model, theta, grid, end),
     ]
@@ -244,11 +250,15 @@ def test_nonfinite_theta_diverges_at_node_zero(sweep_paths):
     grid = build_grid((0.0, 5.0), 0.25, np.empty(0))
     theta = model.theta_ref()
     theta[3] = np.nan
+    data = ObservationSet(
+        times=grid.nodes, values=np.zeros((len(grid.nodes), 2)), model=identity_observation(2, 0.1)
+    )
     for path in sweep_paths:
-        reset_step_count()
-        with pytest.raises(DivergenceError) as err:
-            integrate_augmented(model, theta, grid)
-        assert (err.value.node_index, err.value.time, step_count()) == (0, 0.0, 0), path
+        for run in (integrate_augmented, lambda *args: integrate_loss_terms(*args, data)):
+            reset_step_count()
+            with pytest.raises(DivergenceError) as err:
+                run(model, theta, grid)
+            assert (err.value.node_index, err.value.time, step_count()) == (0, 0.0, 0), path
 
 
 def _final_impulse(grid, d, value):
@@ -317,6 +327,9 @@ def test_models_run_compiled_where_a_compiler_is_found(name, monkeypatch):
     states = integrate_augmented(model, theta, grid)
     integrate_augmented(model, np.stack([theta, theta]), grid)
     integrate_adjoint(model, theta, grid, states, _final_impulse(grid, model.d, 1.0))
+    observed = identity_observation(model.d, 0.1)
+    data = ObservationSet(times=grid.nodes[1:], values=states[1:], model=observed)
+    assert not np.any(integrate_loss_terms(model, theta, grid, data))
 
 
 # ---------------------------------------------------------------------------

@@ -2,23 +2,34 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hfda.dynamics import MODEL_NAMES, fitzhugh_nagumo, get_model
-from hfda.harness import ExperimentConfig, build_data
-from hfda.integrate import DivergenceError, build_grid, reset_step_count, step_count
+from hfda.harness import ExperimentConfig, build_data, build_problem
+from hfda import kernel
+from hfda.integrate import (
+    DivergenceError,
+    build_grid,
+    grid_from_times,
+    integrate_augmented,
+    integrate_loss_terms,
+    reset_step_count,
+    step_count,
+)
 from hfda.modify import accumulate_upper
 from hfda.observe import (
     _EXP_M2,
     ObservationModel,
     ObservationSet,
+    _loss_values,
+    _weighted_loss_grads,
     gradient,
     identity_observation,
-    loss,
-    loss_grad,
     ndtri,
     objective,
     objective_many,
@@ -34,6 +45,19 @@ GOLDEN = Path(__file__).parent / "data" / "golden_fn_observations.csv"
 # ---------------------------------------------------------------------------
 # observation model and loss
 # ---------------------------------------------------------------------------
+
+
+def loss(obs_model: ObservationModel, y, x_state) -> float:
+    """0.5 * (y - Hx)' V^-1 (y - Hx) for a single observation, in matrix
+    form: an oracle written independently of ``observe._loss_values``."""
+    r = np.asarray(y, dtype=float) - obs_model.h_matrix @ np.asarray(x_state, dtype=float)
+    return float(np.sum((r @ obs_model.v_inv) * r, axis=-1) * 0.5)
+
+
+def loss_grad(obs_model: ObservationModel, y, x_state):
+    """Derivative of ``loss`` with respect to the state: -H' V^-1 (y - Hx)."""
+    r = np.asarray(y, dtype=float) - obs_model.h_matrix @ np.asarray(x_state, dtype=float)
+    return -obs_model.h_matrix.T @ (obs_model.v_inv @ r)
 
 
 def test_observation_model_rejects_bad_v():
@@ -97,8 +121,6 @@ def test_loss_grad_matches_finite_differences():
 
 
 def test_simulate_noiseless_limit_is_exact_transform(fn_small_noiseless):
-    from hfda.integrate import grid_from_times, integrate_augmented
-
     model, data, _ = fn_small_noiseless
     grid = grid_from_times(model.t_span[0], data.times)
     x = integrate_augmented(model, model.theta_ref(), grid)[grid.node_index(data.times)]
@@ -106,8 +128,6 @@ def test_simulate_noiseless_limit_is_exact_transform(fn_small_noiseless):
 
 
 def test_simulate_truth_is_never_integrated_more_coarsely_than_h():
-    from hfda.integrate import integrate_augmented
-
     model = fitzhugh_nagumo()
     obs_model = identity_observation(model.d, 0.1)
     with pytest.raises(DivergenceError):  # one step per period of 1.5
@@ -207,8 +227,6 @@ def test_objective_single_observation_reduces_to_loss(fn_small):
     single = data.subset(np.array([10]))
     grid = build_grid(model.t_span, 0.25, single.times)
     val = objective(model, model.theta_ref(), single, grid)
-    from hfda.integrate import integrate_augmented
-
     x = integrate_augmented(model, model.theta_ref(), grid)[grid.node_index(single.times)[0]]
     assert np.isclose(val, loss(single.model, single.values[0], x), rtol=1e-14)
 
@@ -216,8 +234,6 @@ def test_objective_single_observation_reduces_to_loss(fn_small):
 def test_objective_matches_per_term_sum(fn_small):
     model, data, problem = fn_small
     theta = model.theta_ref() * 1.01
-    from hfda.integrate import integrate_augmented
-
     x = integrate_augmented(model, theta, problem.grid)[problem.grid.node_index(data.times)]
     terms = np.array([loss(data.model, data.values[i], x[i]) for i in range(len(data))])
     assert problem.objective(theta) == np.sum(data.weights * terms)
@@ -333,6 +349,152 @@ def test_objective_many_masks_a_diverging_row(sweep_paths):
         assert np.isnan(values[0]) and np.isfinite(values[1]), path
         assert np.isnan(objective_many(model, diverging[None], data, grid)[0]), path
         assert np.isclose(values[1], objective(model, finite, data, grid), rtol=1e-13, atol=0), path
+
+
+# ---------------------------------------------------------------------------
+# loss terms: the per-term definition and the compiled loss pass
+# ---------------------------------------------------------------------------
+
+
+def test_loss_terms_equal_the_matrix_form_oracle():
+    # bitwise for an identity H and a diagonal V (every shipped config),
+    # to roundoff for a general observation model
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((6, 4, 2))
+    general = ObservationModel(np.array([[1.0, 0.3], [-0.2, 0.8]]), np.array([[0.04, 0.01], [0.01, 0.02]]))
+    for obs, exact in ((identity_observation(2, 0.1), True), (general, False)):
+        data = ObservationSet(
+            times=np.arange(1.0, 7.0), values=rng.standard_normal((6, 2)), model=obs,
+            weights=rng.uniform(0.5, 2.0, 6),
+        )
+        terms = _loss_values(data, x)
+        assert terms.shape == (6, 4)
+        oracle = np.array(
+            [[data.weights[i] * loss(obs, data.values[i], x[i, k]) for k in range(4)] for i in range(6)]
+        )
+        if exact:
+            assert np.array_equal(terms, oracle)
+        else:
+            assert np.allclose(terms, oracle, rtol=1e-13, atol=0)
+        assert np.array_equal(_loss_values(data, x[:, 1]), terms[:, 1])
+
+
+def test_weighted_loss_grads_match_the_oracle():
+    rng = np.random.default_rng(4)
+    obs = ObservationModel(np.array([[0.7, -0.4]]), np.array([[0.05]]))
+    data = ObservationSet(
+        times=np.arange(1.0, 6.0), values=rng.standard_normal((5, 1)), model=obs,
+        weights=rng.uniform(0.5, 2.0, 5),
+    )
+    x = rng.standard_normal((5, 2))
+    grads = _weighted_loss_grads(data, x)
+    for i in range(5):
+        expected = data.weights[i] * loss_grad(obs, data.values[i], x[i])
+        assert np.allclose(grads[i], expected, rtol=1e-13, atol=1e-15)
+
+
+def _loss_parity_cases(model):
+    """Observation sets on a 4-unit span of ``model``: weights other than one,
+    ten observations sharing each accumulated time, a 1 x 2 operator and a
+    2 x 2 operator with correlated noise."""
+    rng = np.random.default_rng(11)
+    data = simulate_observations(model, model.params_ref, identity_observation(2, 0.1), 0.1, seed=7)
+    weighted = data.replace_weights(rng.uniform(0.5, 2.0, len(data)))
+    accumulated = accumulate_upper(weighted, np.array([1.0, 2.0, 3.0, 4.0]))
+    assert len(accumulated.distinct_times()) == 4 < len(accumulated)
+    projected = ObservationModel(np.array([[0.7, -0.4]]), np.array([[0.05]]))
+    correlated = ObservationModel(np.array([[1.0, 0.3], [-0.2, 0.8]]), np.array([[0.04, 0.01], [0.01, 0.02]]))
+    others = [
+        simulate_observations(model, model.params_ref, obs, 0.1, seed=8).replace_weights(
+            rng.uniform(0.5, 2.0, len(data))
+        )
+        for obs in (projected, correlated)
+    ]
+    return [weighted, accumulated, *others]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.1])
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_compiled_loss_terms_match_the_python_definition_bitwise(name, scale, sweep_paths):
+    model = get_model(name)
+    model = dataclasses.replace(model, t_span=(model.t_span[0], model.t_span[0] + 4.0))
+    rng = np.random.default_rng(29)
+    theta = scale * model.theta_ref()
+    rows = theta + 0.01 * (1.0 + np.abs(theta)) * rng.standard_normal((52, model.q))
+    cases = _loss_parity_cases(model)
+    results = {}
+    for path in sweep_paths:
+        results[path] = []
+        for data in cases:
+            grid = build_grid(model.t_span, 0.5, data.distinct_times())
+            idx = grid.node_index(data.times)
+            for thetas in (theta, rows[:1], rows[:2], rows):
+                terms = integrate_loss_terms(model, thetas, grid, data)
+                oracle = _loss_values(data, integrate_augmented(model, thetas, grid)[idx])
+                assert terms.shape == oracle.shape == (len(data),) + thetas.shape[:-1], path
+                assert np.array_equal(terms, oracle), path
+                results[path].append(terms)
+    for compiled, python in zip(results["compiled"], results["python"]):
+        assert np.array_equal(compiled, python)
+
+
+def test_loss_terms_reject_an_operator_of_the_wrong_width():
+    model = fitzhugh_nagumo()
+    data = ObservationSet(times=np.array([1.0]), values=np.zeros((1, 3)), model=identity_observation(3, 0.1))
+    with pytest.raises(ValueError, match="width"):
+        integrate_loss_terms(model, model.theta_ref(), build_grid((0.0, 2.0), 0.5, data.times), data)
+
+
+# sha256 of ``objective_many`` at the seed-1234 data of each shipped config,
+# at K rows theta_ref * (1 + 0.05 z) with z drawn by default_rng(1234),
+# captured while the terms were still computed from the whole batched
+# trajectory with matrix products
+SEED_1234_OBJECTIVE_MANY_SHA256 = {
+    ("fitzhugh_nagumo", 1): "2cd6642a36218222710c01792df09d8760b59af88f2891cc52541387a079c5e5",
+    ("fitzhugh_nagumo", 52): "bc6421b358e99b1d70d8bc3881cd104ffcbc1f0000f9b824d2f11b97d72959ac",
+    ("lotka_volterra", 1): "f16ff660989116d55987d68e2ced7280ea842c2b01286721c66f79801f3feb48",
+    ("lotka_volterra", 52): "4452d9314cd607556d6d5238e4b9c1ff65808d64a2bdaa713af80f479efe61a1",
+    ("van_der_pol", 1): "8b5431cd1a0512d215d707a744ff8c5e828ded4d368619ebbe64c1b91fe4e89f",
+    ("van_der_pol", 52): "2490c54fbc62322b1d6759167886c9ba4004300218de1bf4097629ee8c593b6f",
+}
+
+
+def _seed_1234_problem(name):
+    config = ExperimentConfig(model=name, seed=1234)
+    model, data = build_data(config)
+    return model, build_problem(config, model, data)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_objective_many_is_bitwise_unchanged(name, sweep_paths):
+    model, problem = _seed_1234_problem(name)
+    for path in sweep_paths:
+        for k in (1, 52):
+            z = np.random.default_rng(1234).standard_normal((k, model.q))
+            values = problem.objective_many(model.theta_ref() * (1.0 + 0.05 * z))
+            digest = hashlib.sha256(values.tobytes()).hexdigest()
+            assert digest == SEED_1234_OBJECTIVE_MANY_SHA256[name, k], (path, k)
+        theta = model.theta_ref()
+        assert problem.gradient(theta).value == problem.objective(theta), path
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_objective_many_allocates_only_the_loss_terms():
+    # the compiled pass keeps no (n_nodes, K, d) trajectory: the (N, K)
+    # terms are the only large allocation
+    model, problem = _seed_1234_problem("lotka_volterra")
+    assert kernel.sweeps(model) is not None
+    n_obs, k = problem.n_obs, 52
+    assert n_obs == 2000
+    thetas = model.theta_ref() * (1.0 + 0.05 * np.random.default_rng(1234).standard_normal((k, model.q)))
+    problem.objective_many(thetas)  # the kernel is built before tracing
+    tracemalloc.start()
+    try:
+        problem.objective_many(thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n_obs * k * 8
 
 
 # ---------------------------------------------------------------------------
