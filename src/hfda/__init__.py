@@ -76,7 +76,6 @@ from .harness import (
     relative_error,
     replay_trace,
     run_budget_race,
-    run_checks,
     run_table1_study,
 )
 

@@ -6,7 +6,8 @@ section.key=value`` overrides):
 * ``simulate``  write the synthetic observation CSV and its metadata sidecar
 * ``modify``    apply one data-modification scheme and write the result
 * ``solve``     run one solver and write its error-versus-time trace
-* ``check``     run the cross-module consistency suite (exit 1 on failure)
+* ``check``     check the model's Jacobians against central differences
+  (exit 1 on failure)
 * ``table1``    relative-error study over all schemes and target fractions
 * ``race``      budget race over all solver/scheme combinations
 
@@ -19,11 +20,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import sys
 from pathlib import Path
 
 from . import harness, observe
-from .dynamics import MODEL_NAMES
+from .dynamics import MODEL_NAMES, get_model
 from .harness import SOLVER_NAMES, THETA0_POLICIES, ExperimentConfig
 from .integrate import DivergenceError
 from .modify import SCHEME_KINDS
@@ -249,11 +251,16 @@ def cmd_solve(config: ExperimentConfig) -> int:
 
 
 def cmd_check(config: ExperimentConfig) -> int:
-    """Run the desk-scale self-checks of Jacobians, gradients, sampling and kSGD."""
-    results = harness.run_checks(config)
-    for result in results:
-        print(result.line())
-    return 0 if all(r.passed for r in results) else 1
+    """Check the model's analytic Jacobians against central differences on
+    the first 5 time units of its span."""
+    model = get_model(config.model)
+    t0, t_end = model.t_span
+    small = dataclasses.replace(model, t_span=(t0, min(t_end, t0 + 5.0)))
+    tolerance = 1e-5
+    discrepancy = harness.check_model_jacobians(small, config.stream("check"))
+    status = "PASS" if discrepancy <= tolerance else "FAIL"
+    print(f"{status} jacobian_fd discrepancy={discrepancy:.3e} tolerance={tolerance:.1e}")
+    return 0 if status == "PASS" else 1
 
 
 def cmd_table1(config: ExperimentConfig) -> int:

@@ -269,7 +269,7 @@ def linear_system(a: Array, b: Array, x0: Array, t_span: tuple[float, float]) ->
     """Linear test model dx/dt = A x + B params.
 
     The flow is affine in the augmented initial condition, so least-squares
-    fits against it have closed-form solutions.  Used by verification checks;
+    fits against it have closed-form solutions.  Used as a test model;
     not registered for CLI lookup.
     """
     a = np.asarray(a, dtype=float)

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ModelSpec, eval_jacobians, eval_rhs, get_model, linear_system
+from .dynamics import ModelSpec, eval_jacobians, eval_rhs, get_model
 from .integrate import grid_from_times, integrate_augmented
 from .modify import SCHEME_KINDS, make_scheme, round_half_away
 from .observe import (
@@ -40,19 +40,16 @@ from .observe import (
     simulate_observations,
 )
 from .optimize import (
-    KsgdState,
     Problem,
     RunTrace,
     SolverError,
     StepSchedule,
-    ksgd_step,
     run_gauss_newton,
     run_gd,
     run_ksgd,
     run_sgd,
 )
-from .stochastic import Sampler, SampleSet, stochastic_gradient
-from . import observe
+from .stochastic import Sampler
 
 Array = np.ndarray
 
@@ -647,23 +644,8 @@ def write_run(config: ExperimentConfig, run: RaceRun) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Invariant checks (the `check` subcommand)
+# Jacobian check (the `check` subcommand)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    discrepancy: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.discrepancy <= self.tolerance)
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status} {self.name} discrepancy={self.discrepancy:.3e} tolerance={self.tolerance:.1e}"
 
 
 def _fd_jacobians(model: ModelSpec, t: float, x: Array, params: Array, step: float = 1e-6):
@@ -696,99 +678,5 @@ def check_model_jacobians(model: ModelSpec, seed: int = 0, n_points: int = 100) 
             worst,
             float(np.max(np.abs(fx - fx_fd))) / scale,
             float(np.max(np.abs(fp - fp_fd))) / scale,
-        )
-    return worst
-
-
-def run_checks(config: ExperimentConfig, model: ModelSpec | None = None) -> list[CheckResult]:
-    """Cross-module consistency suite on a small desk-scale instance.
-
-    Covers: analytic Jacobians against finite differences, forward against
-    adjoint gradients, gradients against finite differences of the
-    objective, exhaustive-offset unbiasedness of the sampled gradient, and
-    the Kalman-based sweep against its recursive-least-squares closed form.
-    """
-    if model is None:
-        model = get_model(config.model)
-    span = model.t_span
-    t_end = min(span[1], span[0] + 5.0)
-    small = dataclasses.replace(model, t_span=(span[0], t_end))
-    obs_model = identity_observation(small.d, config.obs_sigma)
-    period = (t_end - span[0]) / 100.0
-    data = simulate_observations(
-        small, small.params_ref, obs_model, period, seed=config.stream("check-data")
-    )
-    problem = Problem(small, data, h=(t_end - span[0]) / 20.0)
-    rng = np.random.default_rng(np.random.SeedSequence(config.stream("check")))
-    results = [CheckResult("jacobian_fd", check_model_jacobians(small, config.stream("check")), 1e-5)]
-
-    worst_dual, worst_fd = 0.0, 0.0
-    for _ in range(5):
-        theta = small.theta_ref() * (1.0 + 0.05 * rng.standard_normal(small.q))
-        g_fwd = observe.gradient(small, theta, data, problem.grid, mode="forward").grad
-        g_adj = observe.gradient(small, theta, data, problem.grid, mode="adjoint").grad
-        worst_dual = max(
-            worst_dual,
-            float(np.linalg.norm(g_fwd - g_adj)) / (1.0 + float(np.linalg.norm(g_fwd))),
-        )
-        g_fd = np.empty_like(theta)
-        for j in range(len(theta)):
-            e = np.zeros_like(theta)
-            e[j] = 1e-6 * (1.0 + abs(theta[j]))
-            g_fd[j] = (problem.objective(theta + e) - problem.objective(theta - e)) / (2 * e[j])
-        worst_fd = max(
-            worst_fd, float(np.linalg.norm(g_fwd - g_fd)) / (1.0 + float(np.linalg.norm(g_fwd)))
-        )
-    results.append(CheckResult("forward_vs_adjoint", worst_dual, 1e-8))
-    results.append(CheckResult("gradient_vs_finite_difference", worst_fd, 1e-4))
-
-    # exhaustive-offset unbiasedness on a shared grid
-    kappa = 5
-    theta = small.theta_ref()
-    full = observe.gradient(small, theta, data, problem.grid).grad
-    acc = np.zeros_like(full)
-    for offset in range(kappa):
-        idx = np.arange(offset, len(data), kappa)
-        sample = SampleSet(indices=idx, pi=np.full(len(idx), 1.0 / kappa))
-        acc += stochastic_gradient(small, theta, data, sample, problem.grid).grad
-    disc = float(np.linalg.norm(acc / kappa - full)) / (1.0 + float(np.linalg.norm(full)))
-    results.append(CheckResult("systematic_unbiasedness", disc, 1e-12))
-
-    results.append(CheckResult("ksgd_vs_rls", _ksgd_rls_discrepancy(config), 1e-8))
-    return results
-
-
-def _ksgd_rls_discrepancy(config: ExperimentConfig, q_max: int = 4) -> float:
-    """Sweep a linear problem once in disjoint unit-probability batches and
-    compare against the identity-prior generalized-least-squares closed form."""
-    rng = np.random.default_rng(np.random.SeedSequence(config.stream("check-rls")))
-    worst = 0.0
-    for d in range(1, q_max - 1):
-        p = q_max - d
-        a = 0.3 * rng.standard_normal((d, d))
-        b = rng.standard_normal((d, p))
-        model = linear_system(a, b, x0=rng.standard_normal(d), t_span=(0.0, 2.0))
-        obs_model = identity_observation(d, 0.5)
-        data = simulate_observations(
-            model, rng.standard_normal(p), obs_model, 0.25, seed=config.stream(f"check-rls-{d}")
-        )
-        problem = Problem(model, data, h=0.25)
-        theta0 = rng.standard_normal(model.q)
-
-        state = KsgdState.initial(theta0, model.q)
-        kappa = 2
-        for offset in range(kappa):
-            idx = np.arange(offset, len(data), kappa)
-            sample = SampleSet(indices=idx, pi=np.ones(len(idx)))
-            rs = problem.residual_system(state.theta, sample)
-            state = ksgd_step(state, rs, form="information")
-
-        rs_full = problem.residual_system(theta0)
-        m = rs_full.d_matrix.T @ rs_full.w_inv_apply(rs_full.d_matrix)
-        rhs = rs_full.d_matrix.T @ rs_full.w_inv_apply(rs_full.r)
-        closed = theta0 + np.linalg.solve(m + np.eye(model.q), rhs)
-        worst = max(
-            worst,
-            float(np.linalg.norm(state.theta - closed)) / (1.0 + float(np.linalg.norm(closed))),
         )
     return worst

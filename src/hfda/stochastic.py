@@ -78,7 +78,7 @@ def draw_stratified(n_obs: int, kappa: int, rng: np.random.Generator) -> SampleS
     reciprocal of that window's length.
     """
     if not 1 <= kappa <= n_obs:
-        raise ValueError("kappa must lie in [1, n_obs]")
+        raise ValueError(f"sampling stride {kappa} must lie in [1, {n_obs}]")
     starts = np.arange(0, n_obs, kappa)
     sizes = np.minimum(kappa, n_obs - starts)
     picks = starts + rng.integers(sizes)

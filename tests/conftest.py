@@ -29,6 +29,18 @@ def fn_small_noiseless(fn_small):
     return model, data, problem
 
 
+@pytest.fixture(scope="session")
+def fn_corrupted_jac_x():
+    """FitzHugh-Nagumo with a wrong entry in its hand-written state Jacobian."""
+    model = fitzhugh_nagumo()
+
+    def bad_jac_x(t, x, params):
+        (f00, f01), row1 = model.jac_x(t, x, params)
+        return (f00 + 0.25, f01), row1
+
+    return dataclasses.replace(model, jac_x=bad_jac_x)
+
+
 @pytest.fixture
 def sweep_paths(monkeypatch):
     """The sweep paths, each in force while a test's loop body runs for it:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hfda import harness
+from hfda import cli, harness
 from hfda.cli import ConfigError, main, parse_config
 
 REPO_CONFIGS = Path(__file__).parent.parent / "configs"
@@ -120,9 +120,18 @@ def test_modify_subcommand_row_count(tmp_path):
 def test_check_subcommand_reports_and_passes(tmp_path, capsys):
     path = write_config(tmp_path, SMALL_FN)
     assert main(["check", "--config", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 5
-    assert "FAIL" not in out
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("PASS jacobian_fd discrepancy=")
+
+
+def test_check_subcommand_fails_on_a_corrupted_jacobian(
+    tmp_path, capsys, monkeypatch, fn_corrupted_jac_x
+):
+    path = write_config(tmp_path, SMALL_FN)
+    monkeypatch.setattr(cli, "get_model", lambda name: fn_corrupted_jac_x)
+    assert main(["check", "--config", str(path)]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("FAIL jacobian_fd discrepancy=")
 
 
 def test_solve_subcommand_writes_trace(tmp_path):

@@ -9,7 +9,6 @@ import pytest
 from hfda import harness
 from hfda.dynamics import fitzhugh_nagumo
 from hfda.harness import (
-    CheckResult,
     ExperimentConfig,
     build_data,
     build_problem,
@@ -19,7 +18,6 @@ from hfda.harness import (
     relative_error,
     replay_trace,
     resolve_theta0,
-    run_checks,
 )
 from hfda.optimize import RunTrace, SolverError, StepSchedule, run_gauss_newton, run_gd
 
@@ -171,20 +169,6 @@ def test_replay_drops_nonfinite_rows(small_config, tmp_path):
     assert np.all(np.isfinite(errors))
 
 
-def test_run_checks_pass_on_healthy_models(small_config):
-    results = run_checks(small_config)
-    names = {r.name for r in results}
-    assert {
-        "jacobian_fd",
-        "forward_vs_adjoint",
-        "gradient_vs_finite_difference",
-        "systematic_unbiasedness",
-        "ksgd_vs_rls",
-    } <= names
-    for r in results:
-        assert r.passed, r.line()
-
-
 def test_reference_cache_from_an_older_format_is_not_read(small_config, tmp_path, monkeypatch):
     config = small_config  # a fit that converges, so the new format is written
     model, data = build_data(config)
@@ -235,22 +219,6 @@ def test_study_status_says_whether_a_fit_converged(small_config, monkeypatch):
     assert status == "max_iter(damping_rel=0.0001)"
 
 
-def test_run_checks_catch_corrupted_jacobian(small_config):
-    model = fitzhugh_nagumo()
-
-    def bad_jac_x(t, x, params):
-        (f00, f01), row1 = model.jac_x(t, x, params)
-        return (f00 + 0.25, f01), row1
-
-    corrupted = dataclasses.replace(model, jac_x=bad_jac_x)
-    disc = check_model_jacobians(corrupted, seed=3)
+def test_run_checks_catch_corrupted_jacobian(fn_corrupted_jac_x):
+    disc = check_model_jacobians(fn_corrupted_jac_x, seed=3)
     assert disc > 1e-5  # the finite-difference check must flag it
-    results = run_checks(small_config, model=corrupted)
-    assert any(not r.passed for r in results)
-
-
-def test_check_result_lines():
-    good = CheckResult("demo", 1e-9, 1e-8)
-    bad = CheckResult("demo", 1e-7, 1e-8)
-    assert good.passed and good.line().startswith("PASS demo")
-    assert not bad.passed and bad.line().startswith("FAIL demo")

@@ -18,7 +18,7 @@ from hfda.optimize import (
     run_ksgd,
     run_sgd,
 )
-from hfda.stochastic import ResidualSystem, Sampler
+from hfda.stochastic import ResidualSystem, Sampler, SampleSet
 
 
 class QuadraticProblem:
@@ -401,6 +401,31 @@ def test_ksgd_sweep_matches_recursive_least_squares_closed_form():
         r0 = y - d_full @ theta0
         oracle = theta0 + np.linalg.solve(d_full.T @ d_full + np.eye(q), d_full.T @ r0)
         assert np.linalg.norm(state.theta - oracle) <= 1e-8 * (1.0 + np.linalg.norm(oracle))
+
+
+def test_ksgd_sweep_of_linear_ode_matches_generalized_least_squares(linear_problem):
+    # one pass of kSGD over disjoint unit-probability batches, with residual
+    # systems assembled from the integrated linear ODE, lands on the
+    # identity-prior GLS solution; the oracle uses only finite differences
+    # of the (affine) flow and the data
+    rng = np.random.default_rng(17)
+    theta0 = rng.standard_normal(4)
+    data = linear_problem.data
+    d_mat = flow_jacobian_fd(linear_problem, theta0)
+    from hfda.integrate import integrate_augmented
+
+    idx = linear_problem.grid.node_index(data.times)
+    pred = integrate_augmented(linear_problem.model, theta0, linear_problem.grid)[idx]
+    r0 = (data.values - pred @ data.model.h_matrix.T).reshape(-1)
+    w_inv = np.kron(np.diag(data.weights), data.model.v_inv)
+    gls = theta0 + np.linalg.solve(d_mat.T @ w_inv @ d_mat + np.eye(4), d_mat.T @ w_inv @ r0)
+
+    for form in ("information", "covariance"):
+        state = KsgdState.initial(theta0, 4)
+        for batch in np.array_split(np.arange(linear_problem.n_obs), 6):
+            sample = SampleSet(indices=batch, pi=np.ones(len(batch)))
+            state = ksgd_step(state, linear_problem.residual_system(state.theta, sample), form=form)
+        assert np.linalg.norm(state.theta - gls) <= 1e-8 * (1.0 + np.linalg.norm(gls)), form
 
 
 def test_run_ksgd_fixed_point_at_truth(fn_small_noiseless):

@@ -54,9 +54,9 @@ def test_systematic_inclusion_probability_by_enumeration():
 
 
 def test_systematic_rejects_bad_kappa():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"sampling stride 11 must lie in \[1, 10\]"):
         draw_systematic(10, 11, np.random.default_rng(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"sampling stride 0 must lie in \[1, 10\]"):
         draw_systematic(10, 0, np.random.default_rng(0))
 
 
@@ -80,9 +80,9 @@ def test_simple_draw_frequencies():
 
 
 def test_simple_draw_range_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"sample size 0 must lie in \[1, 5\]"):
         draw_simple(5, 0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"sample size 6 must lie in \[1, 5\]"):
         draw_simple(5, 6, np.random.default_rng(0))
 
 
@@ -93,6 +93,13 @@ def test_stratified_draw_windows_and_boundary():
         assert len(s) == 3
         assert 0 <= s.indices[0] < 4 <= s.indices[1] < 8 <= s.indices[2] < 10
         assert np.array_equal(s.pi, [0.25, 0.25, 0.5])
+
+
+def test_stratified_rejects_bad_kappa():
+    with pytest.raises(ValueError, match=r"sampling stride 11 must lie in \[1, 10\]"):
+        draw_stratified(10, 11, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"sampling stride 0 must lie in \[1, 10\]"):
+        draw_stratified(10, 0, np.random.default_rng(0))
 
 
 def test_sample_set_validation():
