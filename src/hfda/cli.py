@@ -11,7 +11,8 @@ section.key=value`` overrides):
 * ``table1``    relative-error study over all schemes and target fractions
 * ``race``      budget race over all solver/scheme combinations
 
-The config file is a sectioned ``key = value`` text file; unknown sections
+The config file is a sectioned ``key = value`` text file whose keys and
+converters are declared on the ``ExperimentConfig`` fields; unknown sections
 or keys are rejected.  Every random draw is controlled by config-declared
 seeds, so all subcommands are idempotent given the same configuration and
 output directory.
@@ -25,109 +26,16 @@ import sys
 from pathlib import Path
 
 from . import harness, observe
-from .dynamics import MODEL_NAMES, get_model
-from .harness import SOLVER_NAMES, THETA0_POLICIES, ExperimentConfig
+from .dynamics import get_model
+from .harness import ExperimentConfig
 from .integrate import DivergenceError
 from .modify import SCHEME_KINDS
-from .observe import DERIVATIVE_MODES
-from .optimize import KSGD_FORMS, SCHEDULE_KINDS, SolverError
-from .stochastic import SAMPLER_KINDS
+from .optimize import SolverError
 
 
-def _to_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
-def _to_optional_float(raw: str):
-    return None if raw.strip().lower() in ("", "auto", "none") else float(raw)
-
-
-def _to_optional_int(raw: str):
-    return None if raw.strip().lower() in ("", "auto", "none") else int(raw)
-
-
-def _to_floats(raw: str, convert=float) -> tuple[float, ...]:
-    return tuple(convert(tok) for tok in raw.replace(";", ",").split(",") if tok.strip())
-
-
-def _fraction(raw: str) -> float:
-    value = float(raw)
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"must lie in (0, 1], got {raw.strip()!r}")
-    return value
-
-
-def _choice(options: tuple[str, ...]):
-    """Converter accepting exactly one of ``options``."""
-
-    def convert(raw: str) -> str:
-        value = raw.strip()
-        if value not in options:
-            raise ValueError(f"expected one of {', '.join(options)}, got {value!r}")
-        return value
-
-    return convert
-
-
-def _positive(convert):
-    """``convert`` that also rejects values <= 0 (None passes through)."""
-
-    def checked(raw: str):
-        value = convert(raw)
-        if value is not None and not value > 0:
-            raise ValueError(f"must be positive, got {raw.strip()!r}")
-        return value
-
-    return checked
-
-
-# (section, key) -> (ExperimentConfig attribute, converter)
+# (section, key) -> (ExperimentConfig attribute, converter), in field order
 _SCHEMA = {
-    ("experiment", "model"): ("model", _choice(MODEL_NAMES)),
-    ("experiment", "h"): ("h", _positive(float)),
-    ("experiment", "seed"): ("seed", int),
-    ("experiment", "output_dir"): ("output_dir", str),
-    ("experiment", "estimate_x0"): ("estimate_x0", _to_bool),
-    ("experiment", "mode"): ("mode", _choice(DERIVATIVE_MODES)),
-    ("observation", "period"): ("obs_period", _positive(float)),
-    ("observation", "sigma"): ("obs_sigma", _positive(float)),
-    ("observation", "seed"): ("obs_seed", int),
-    ("modify", "scheme"): ("modify_scheme", _choice(("none",) + SCHEME_KINDS)),
-    ("modify", "potp"): ("modify_potp", _fraction),
-    ("modify", "seed"): ("modify_seed", int),
-    ("modify", "reweight"): ("modify_reweight", _to_bool),
-    ("solver", "name"): ("solver_name", _choice(SOLVER_NAMES)),
-    ("solver", "schedule"): ("solver_schedule", _choice(SCHEDULE_KINDS)),
-    ("solver", "eta0"): ("solver_eta0", _positive(_to_optional_float)),
-    ("solver", "k0"): ("solver_k0", float),
-    ("solver", "alpha"): ("solver_alpha", float),
-    ("solver", "damping"): ("solver_damping", _to_optional_float),
-    ("solver", "sampler"): ("solver_sampler", _choice(SAMPLER_KINDS)),
-    ("solver", "kappa"): ("solver_kappa", _positive(_to_optional_int)),
-    ("solver", "form"): ("solver_form", _choice(KSGD_FORMS)),
-    ("solver", "budget"): ("solver_budget", float),
-    ("solver", "max_iter"): ("solver_max_iter", int),
-    ("solver", "gtol"): ("solver_gtol", float),
-    ("solver", "seed"): ("solver_seed", int),
-    ("solver", "record_every"): ("solver_record_every", int),
-    ("solver", "theta0"): ("theta0_policy", _choice(THETA0_POLICIES)),
-    ("solver", "theta0_scale"): ("theta0_scale", float),
-    ("solver", "theta0_seed"): ("theta0_seed", int),
-    ("solver", "theta0_values"): ("theta0_values", _to_floats),
-    ("race", "budget"): ("race_budget", float),
-    ("race", "potp"): ("race_potp", _fraction),
-    ("race", "max_iter"): ("race_max_iter", int),
-    ("race", "record_every"): ("race_record_every", int),
-    ("table1", "potps"): ("table1_potps", lambda raw: _to_floats(raw, _fraction)),
-    ("table1", "max_iter"): ("table1_max_iter", int),
-    ("table1", "gtol"): ("table1_gtol", float),
-    ("reference", "max_iter"): ("ref_max_iter", int),
-    ("reference", "gtol"): ("ref_gtol", float),
+    f.metadata["key"]: (f.name, f.metadata["convert"]) for f in dataclasses.fields(ExperimentConfig)
 }
 
 

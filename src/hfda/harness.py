@@ -30,16 +30,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ModelSpec, eval_jacobians, eval_rhs, get_model
+from .dynamics import MODEL_NAMES, ModelSpec, eval_jacobians, eval_rhs, get_model
 from .integrate import grid_from_times, integrate_augmented
 from .modify import SCHEME_KINDS, make_scheme, round_half_away
 from .observe import (
+    DERIVATIVE_MODES,
     ObservationSet,
     identity_observation,
     inverse_cdf_gaussian,
     simulate_observations,
 )
 from .optimize import (
+    KSGD_FORMS,
+    SCHEDULE_KINDS,
     Problem,
     RunTrace,
     SolverError,
@@ -49,7 +52,7 @@ from .optimize import (
     run_ksgd,
     run_sgd,
 )
-from .stochastic import Sampler
+from .stochastic import SAMPLER_KINDS, Sampler
 
 Array = np.ndarray
 
@@ -104,58 +107,122 @@ def derive_seed(base_seed: int, label: str) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _to_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("true", "yes", "on", "1"):
+        return True
+    if low in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _optional(convert):
+    """``convert`` that reads an empty value, ``auto`` or ``none`` as None."""
+
+    def checked(raw: str):
+        return None if raw.strip().lower() in ("", "auto", "none") else convert(raw)
+
+    return checked
+
+
+def _tuple_of(convert):
+    """Converter of a comma- or semicolon-separated list."""
+
+    def convert_all(raw: str) -> tuple:
+        return tuple(convert(tok) for tok in raw.replace(";", ",").split(",") if tok.strip())
+
+    return convert_all
+
+
+def _fraction(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"must lie in (0, 1], got {raw.strip()!r}")
+    return value
+
+
+def _choice(options: tuple[str, ...]):
+    """Converter accepting exactly one of ``options``."""
+
+    def convert(raw: str) -> str:
+        value = raw.strip()
+        if value not in options:
+            raise ValueError(f"expected one of {', '.join(options)}, got {value!r}")
+        return value
+
+    return convert
+
+
+def _positive(convert):
+    """``convert`` that also rejects values <= 0 (None passes through)."""
+
+    def checked(raw: str):
+        value = convert(raw)
+        if value is not None and not value > 0:
+            raise ValueError(f"must be positive, got {raw.strip()!r}")
+        return value
+
+    return checked
+
+
+def _setting(key: str, convert, default=dataclasses.MISSING):
+    """A config field read from ``key`` ("section.key") through ``convert``,
+    which turns the raw text into the value or raises ``ValueError``."""
+    metadata = {"key": tuple(key.split(".")), "convert": convert}
+    return dataclasses.field(default=default, metadata=metadata)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a subcommand needs.  Unset h, period, sigma and race start
+    """Everything a subcommand needs.  Each field declares its config key and
+    the converter for its text value.  Unset h, period, sigma and race start
     seed take the model's defaults; ``run_solver`` derives an unset kappa."""
 
-    model: str
-    h: float | None = None
-    seed: int = 1234
-    output_dir: str = "runs"
-    estimate_x0: bool = True
-    mode: str = "forward"
-    # observation settings
-    obs_period: float | None = None
-    obs_sigma: float | None = None
-    obs_seed: int | None = None
+    model: str = _setting("experiment.model", _choice(MODEL_NAMES))
+    h: float | None = _setting("experiment.h", _positive(float), None)
+    seed: int = _setting("experiment.seed", int, 1234)
+    output_dir: str = _setting("experiment.output_dir", str, "runs")
+    estimate_x0: bool = _setting("experiment.estimate_x0", _to_bool, True)
+    mode: str = _setting("experiment.mode", _choice(DERIVATIVE_MODES), "forward")
+    obs_period: float | None = _setting("observation.period", _positive(float), None)
+    obs_sigma: float | None = _setting("observation.sigma", _positive(float), None)
+    obs_seed: int | None = _setting("observation.seed", int, None)
     # single-scheme modification (modify / solve subcommands)
-    modify_scheme: str = "none"
-    modify_potp: float = 0.01
-    modify_seed: int | None = None
-    modify_reweight: bool = False
+    modify_scheme: str = _setting("modify.scheme", _choice(("none",) + SCHEME_KINDS), "none")
+    modify_potp: float = _setting("modify.potp", _fraction, 0.01)
+    modify_seed: int | None = _setting("modify.seed", int, None)
+    modify_reweight: bool = _setting("modify.reweight", _to_bool, False)
     # solver settings (run_solver; name, budget, max_iter and record_every
     # apply to the solve subcommand only)
-    solver_name: str = "gd"
-    solver_schedule: str = "constant"
-    solver_eta0: float | None = None
-    solver_k0: float = 100.0
-    solver_alpha: float = 1.0
-    solver_damping: float | None = None
-    solver_sampler: str = "systematic"
-    solver_kappa: int | None = None
-    solver_form: str = "auto"
-    solver_budget: float = 1.0
-    solver_max_iter: int = 0
-    solver_gtol: float = 0.0
-    solver_seed: int | None = None
-    solver_record_every: int = 1
-    theta0_policy: str = "perturbed"
-    theta0_scale: float = 0.5
-    theta0_seed: int | None = None
-    theta0_values: tuple[float, ...] | None = None
-    # budget race
-    race_budget: float = 1.0
-    race_potp: float = 0.01
-    race_max_iter: int = 0
-    race_record_every: int = 10
+    solver_name: str = _setting("solver.name", _choice(SOLVER_NAMES), "gd")
+    solver_schedule: str = _setting("solver.schedule", _choice(SCHEDULE_KINDS), "constant")
+    solver_eta0: float | None = _setting("solver.eta0", _positive(_optional(float)), None)
+    solver_k0: float = _setting("solver.k0", _positive(float), 100.0)
+    solver_alpha: float = _setting("solver.alpha", float, 1.0)
+    solver_damping: float | None = _setting("solver.damping", _optional(float), None)
+    solver_sampler: str = _setting("solver.sampler", _choice(SAMPLER_KINDS), "systematic")
+    solver_kappa: int | None = _setting("solver.kappa", _positive(_optional(int)), None)
+    solver_form: str = _setting("solver.form", _choice(KSGD_FORMS), "auto")
+    solver_budget: float = _setting("solver.budget", float, 1.0)
+    solver_max_iter: int = _setting("solver.max_iter", int, 0)
+    solver_gtol: float = _setting("solver.gtol", float, 0.0)
+    solver_seed: int | None = _setting("solver.seed", int, None)
+    solver_record_every: int = _setting("solver.record_every", _positive(int), 1)
+    theta0_policy: str = _setting("solver.theta0", _choice(THETA0_POLICIES), "perturbed")
+    theta0_scale: float = _setting("solver.theta0_scale", float, 0.5)
+    theta0_seed: int | None = _setting("solver.theta0_seed", int, None)
+    theta0_values: tuple[float, ...] | None = _setting("solver.theta0_values", _tuple_of(float), None)
+    race_budget: float = _setting("race.budget", float, 1.0)
+    race_potp: float = _setting("race.potp", _fraction, 0.01)
+    race_max_iter: int = _setting("race.max_iter", int, 0)
+    race_record_every: int = _setting("race.record_every", _positive(int), 10)
     # relative-error study
-    table1_potps: tuple[float, ...] = (0.01, 0.1)
-    table1_max_iter: int = 40
-    table1_gtol: float = 1e-6
+    table1_potps: tuple[float, ...] = _setting("table1.potps", _tuple_of(_fraction), (0.01, 0.1))
+    table1_max_iter: int = _setting("table1.max_iter", _positive(int), 40)
+    table1_gtol: float = _setting("table1.gtol", float, 1e-6)
     # unmodified-problem reference fit
-    ref_max_iter: int = 60
-    ref_gtol: float = 1e-8
+    ref_max_iter: int = _setting("reference.max_iter", _positive(int), 60)
+    ref_gtol: float = _setting("reference.gtol", float, 1e-8)
 
     def __post_init__(self) -> None:
         if self.model not in MODEL_DEFAULTS:
@@ -359,7 +426,7 @@ def _fit_modified(config: ExperimentConfig, model: ModelSpec, prob_mod: Problem)
             )
         except SolverError:
             continue
-        if trace.terminated_by != "divergence" and np.all(np.isfinite(trace.final_theta)):
+        if trace.terminated_by != "divergence":
             status = "max_iter" if trace.terminated_by == "max_iter" else "ok"
             if damping_rel != 1e-8:
                 status += f"(damping_rel={damping_rel:g})"

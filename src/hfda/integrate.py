@@ -95,10 +95,6 @@ class TimeGrid:
         return float(self.nodes[0])
 
     @property
-    def t_end(self) -> float:
-        return float(self.nodes[-1])
-
-    @property
     def n_steps(self) -> int:
         return len(self.nodes) - 1
 

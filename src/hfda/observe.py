@@ -236,7 +236,6 @@ class GradientEvaluation:
 
     value: float
     grad: Array
-    n_terms: int
 
 
 def observation_times(t_span: tuple[float, float], period: float) -> Array:
@@ -257,7 +256,6 @@ def simulate_observations(
     obs_model: ObservationModel,
     obs_period: float,
     seed: int,
-    x0: Array | None = None,
     noise: bool = True,
     h: float | None = None,
 ) -> ObservationSet:
@@ -273,11 +271,10 @@ def simulate_observations(
     """
     if obs_model.d != model.d:
         raise ValueError("observation operator width must match the model state dimension")
-    x0 = model.x0 if x0 is None else np.asarray(x0, dtype=float)
     times = observation_times(model.t_span, obs_period)
     if times.size == 0:
         raise ValueError("observation period exceeds the integration interval")
-    z0 = np.concatenate([x0, np.asarray(params_star, dtype=float)])
+    z0 = np.concatenate([model.x0, np.asarray(params_star, dtype=float)])
     if h is not None and obs_period > h:
         grid = build_grid(model.t_span, h, times)
     else:
@@ -377,7 +374,7 @@ def gradient(
         grad = integrate_adjoint(model, theta, grid, states, impulses)
 
     value = float(np.sum(_loss_values(data, x_obs)))
-    return GradientEvaluation(value=value, grad=grad, n_terms=len(data))
+    return GradientEvaluation(value=value, grad=grad)
 
 
 def write_observations_csv(data: ObservationSet, path) -> None:

@@ -149,7 +149,7 @@ class ResidualSystem:
     Blocks follow the sampled indices in increasing order.  The inverse
     weight is block diagonal with blocks (weight/pi) * V^-1, stored as
     ``w_inv_blocks`` of shape (m, n, n) and applied without assembling the
-    full matrix (the dense ``w_inv``/``w`` views exist for small systems).
+    full matrix (the dense ``w`` view exists for small systems).
     For the Gaussian-affine loss, d_matrix' w_inv r equals minus the
     stochastic gradient.
     """
@@ -167,10 +167,6 @@ class ResidualSystem:
         m, n = self.w_inv_blocks.shape[:2]
         out = np.einsum("sij,sj...->si...", self.w_inv_blocks, v.reshape((m, n) + v.shape[1:]))
         return out.reshape(v.shape)
-
-    @property
-    def w_inv(self) -> Array:
-        return _block_diag(self.w_inv_blocks)
 
     @property
     def w(self) -> Array:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +277,11 @@ def test_unknown_sampler_exits_before_fitting(tmp_path):
         ("modify", "potp", "1.5"),
         ("race", "potp", "0"),
         ("table1", "potps", "0.01, 0"),
+        ("solver", "record_every", "0"),
+        ("race", "record_every", "0"),
+        ("table1", "max_iter", "0"),
+        ("reference", "max_iter", "0"),
+        ("solver", "k0", "0"),
     ],
 )
 def test_parse_rejects_bad_enumerated_or_nonpositive_value(tmp_path, section, key, value):
@@ -286,6 +293,36 @@ def test_parse_rejects_bad_enumerated_or_nonpositive_value(tmp_path, section, ke
         body = MINIMAL + f"\n[{section}]\n{key} = {value}\n"
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
         parse_config(write_config(tmp_path, body))
+
+
+def test_solve_rejects_zero_record_every_before_fitting(tmp_path, capsys):
+    path = write_config(tmp_path, SMALL_FN)
+    out = tmp_path / "x"
+    argv = ["solve", "--config", str(path), "--output-dir", str(out)]
+    assert main(argv + ["--set", "solver.record_every=0"]) == 2
+    assert "override key solver.record_every" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_setting_declares_one_key_and_a_converter():
+    fields = dataclasses.fields(harness.ExperimentConfig)
+    keys = [f.metadata["key"] for f in fields]
+    assert all(len(key) == 2 and all(key) for key in keys)
+    assert all(callable(f.metadata["convert"]) for f in fields)
+    assert len(set(keys)) == len(keys) == 40
+    assert cli._SCHEMA == {f.metadata["key"]: (f.name, f.metadata["convert"]) for f in fields}
+
+
+def test_readme_config_reference_lists_the_declared_keys():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("## Config reference", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for row in re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", table, flags=re.M):
+        listed[row[0]] = re.findall(r"`(\w+)`", row[1])
+    declared = {}
+    for section, key in cli._SCHEMA:
+        declared.setdefault(section, []).append(key)
+    assert list(listed.items()) == list(declared.items())
 
 
 def test_modify_flags_are_checked_like_config_keys(tmp_path, capsys):

@@ -63,3 +63,48 @@ def test_library_modules_use_every_name_they_import():
         and (names := _unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants of ``sources``
+    (module name -> source) that no top-level statement but their own reads."""
+    defined, used = {}, set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                names = set()
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{module} line {stmt.lineno}"
+            refs = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    refs.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    refs.update(alias.name for alias in node.names)
+            used |= refs - names
+    return [f"{name} ({where})" for name, where in defined.items() if name not in used]
+
+
+def test_unreferenced_private_names_are_flagged():
+    sources = {
+        "a": "_LIMIT = 3\n_dead = 0\ndef _loop(n):\n    return _loop(n - 1)\n",
+        "b": "from a import _LIMIT\nclass _Used: pass\nx = [_Used(), _LIMIT]\n",
+    }
+    assert _unreferenced_private_names(sources) == ["_dead (a line 2)", "_loop (a line 3)"]
+
+
+def test_library_references_every_private_name_it_defines():
+    """Every module-level private function, class or constant in the
+    package is read somewhere in it, so a helper left behind by a move
+    shows up here."""
+    package = Path(hfda.__file__).resolve().parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _unreferenced_private_names(sources) == []

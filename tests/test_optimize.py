@@ -29,9 +29,7 @@ class QuadraticProblem:
         self.free = np.arange(len(self.a))
 
     def gradient(self, theta):
-        return GradientEvaluation(
-            value=float(0.5 * theta @ self.a @ theta), grad=self.a @ theta, n_terms=1
-        )
+        return GradientEvaluation(value=float(0.5 * theta @ self.a @ theta), grad=self.a @ theta)
 
 
 def random_spd(rng, n, shift=None):

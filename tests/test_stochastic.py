@@ -244,7 +244,7 @@ def test_residual_rows_on_shared_times_follow_each_observation_node(fn_small):
 def test_dense_weight_views_are_consistent():
     blocks = np.array([[[2.0]], [[4.0]]])
     rs = ResidualSystem(r=np.array([1.0, 2.0]), d_matrix=np.eye(2), w_inv_blocks=blocks)
-    assert np.array_equal(rs.w_inv, np.diag([2.0, 4.0]))
+    assert np.array_equal(rs.w_inv_apply(np.eye(2)), np.diag([2.0, 4.0]))
     assert np.array_equal(rs.w, np.diag([0.5, 0.25]))
     assert np.array_equal(rs.w_inv_apply(np.array([1.0, 1.0])), [2.0, 4.0])
 
@@ -253,6 +253,6 @@ def test_dense_weight_views_are_consistent():
     expected = np.zeros((8, 8))
     for s, block in enumerate(blocks):
         expected[2 * s : 2 * s + 2, 2 * s : 2 * s + 2] = block
-    assert np.array_equal(rs.w_inv, expected)
+    assert np.array_equal(rs.w_inv_apply(np.eye(8)), expected)
     assert np.array_equal(rs.w[2:4, 2:4], np.linalg.inv(blocks[1]))
     assert np.count_nonzero(rs.w) == 16
