@@ -232,6 +232,16 @@ class ExperimentConfig:
         for attr, key in fill.items():
             if getattr(self, attr) is None:
                 object.__setattr__(self, attr, defaults[key])
+        # fail before the reference fit, naming the keys
+        for section in ("solver", "race"):
+            if getattr(self, f"{section}_budget") <= 0 and getattr(self, f"{section}_max_iter") <= 0:
+                raise ValueError(f"[{section}] budget or [{section}] max_iter must be positive")
+        if self.theta0_policy == "explicit":
+            q = get_model(self.model).q
+            if self.theta0_values is None or len(self.theta0_values) != q:
+                raise ValueError(
+                    f"[solver] theta0 = explicit needs [solver] theta0_values with {q} components"
+                )
 
     def stream(self, label: str, explicit: int | None = None) -> int:
         return int(explicit) if explicit is not None else derive_seed(self.seed, label)

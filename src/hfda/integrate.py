@@ -9,13 +9,13 @@ makes the propagated matrix the exact derivative of the discrete flow map.
 The model-path loops step only the physical block of a ``ModelSpec``, one
 trajectory on Python floats (numpy's per-operation overhead would dominate
 on d-component arrays).  One forward loop, ``_sweep``, serves
-``integrate_augmented`` (states; a batch of theta runs on component arrays)
-and ``integrate_augmented_sensitivity`` (states and the d x q tangent,
-carried as one more component).  ``_adjoint_sweep`` is the reverse sweep of
-the same discrete flow: each step, ``_adjoint_step``, transposes the stage
-recursion, re-running the forward stages to recover intra-step states, and
-row j of an (n_nodes, d) impulse array is added on the earlier side of
-node j.
+``integrate_augmented`` (states; a batch of theta, one row included, runs on
+component arrays) and ``integrate_augmented_sensitivity`` (states and the
+d x q tangent, carried as one more component).  ``_adjoint_sweep`` is the
+reverse sweep of the same discrete flow: each step, ``_adjoint_step``,
+transposes the stage recursion, re-running the forward stages to recover
+intra-step states, and row j of an (n_nodes, d) impulse array is added on
+the earlier side of node j.
 
 ``integrate_augmented``, ``integrate_loss_terms`` and ``integrate_adjoint``
 run the compiled sweeps of ``kernel`` where it can build them for the model:
@@ -24,7 +24,9 @@ functions, bitwise equal to the Python loops, which stay as the fallback (no
 C compiler, or a model the tracer cannot follow) and as the oracle.
 ``integrate_loss_terms`` is the state pass that returns the observations'
 weighted loss terms instead of the trajectory.  The tangent sweep always
-runs in Python.  Both paths count one step per grid step, a batch once.
+runs in Python.  Both paths count one step per grid step, a batch once, and
+keep one zero-divisor rule: a 1-D theta diverges at the end node of a step
+that divides by zero, and a batch divides as IEEE arithmetic does.
 
 Grids are built so that every observation time is exactly one of the nodes;
 integration never steps across an observation time.
@@ -288,11 +290,10 @@ def _sweep(model: ModelSpec, theta: Array, grid: TimeGrid, request: Array | None
     global _step_count
     theta = np.asarray(theta, dtype=float)
     d, q = model.d, model.q
-    check = theta.ndim == 1
-    if check and not np.all(np.isfinite(theta)):
+    floats = theta.ndim == 1  # one checked trajectory; a batch is never checked
+    if floats and not np.all(np.isfinite(theta)):
         raise DivergenceError(0, grid.t0)
-    floats = theta.size == theta.shape[-1]
-    comps = theta.ravel().tolist() if floats else list(np.moveaxis(theta, -1, 0))
+    comps = theta.tolist() if floats else list(np.moveaxis(theta, -1, 0))
     y, params = comps[:d], comps[d:]
     # node-major and flat; a float trajectory is stored as raw doubles
     states = array("d", y) if floats else list(y)
@@ -319,36 +320,34 @@ def _sweep(model: ModelSpec, theta: Array, grid: TimeGrid, request: Array | None
     with np.errstate(all="ignore"):
         for j in range(len(nodes) - 1):
             t, h = nodes[j], nodes[j + 1] - nodes[j]
+            _step_count += 1
             try:
                 _, y = _stages(rhs, t, h, y, params)
             except ZeroDivisionError:
-                y = [math.nan] * d
-            _step_count += 1
+                raise DivergenceError(j + 1, nodes[j + 1]) from None
             x = y[:d]
-            if check and not all(map(math.isfinite, x)):
+            if floats and not all(map(math.isfinite, x)):
                 raise DivergenceError(j + 1, nodes[j + 1])
             states.extend(x)
             if pos < n_request and request[pos] == j + 1:
                 sens[pos] = y[d]
                 pos += 1
     if floats:
-        states = np.array(states).reshape((len(nodes),) + theta.shape[:-1] + (d,))
+        states = np.array(states).reshape(len(nodes), d)
     else:
         states = np.moveaxis(np.array(states).reshape((len(nodes), d) + theta.shape[:-1]), 1, -1)
     return states, sens
 
 
-def _compiled_pass(run, theta: Array, grid: TimeGrid):
-    """(out, batch shape): ``run(rows, python_division, check) -> (out,
-    node)``, a compiled state pass, on the rows of theta (..., q), with the
-    divergence checks and the step count of ``integrate_augmented``."""
+def _compiled_pass(compiled: kernel.Sweeps, theta: Array, grid: TimeGrid, observed=None):
+    """(out, batch shape): ``compiled.forward`` on the rows of theta (..., q),
+    with the divergence checks and the step count of ``integrate_augmented``."""
     global _step_count
     theta = np.asarray(theta, dtype=float)
     check = theta.ndim == 1
     if check and not np.all(np.isfinite(theta)):
         raise DivergenceError(0, grid.t0)
-    rows = theta.reshape(-1, theta.shape[-1])
-    out, node = run(rows, len(rows) == 1, check)
+    out, node = compiled.forward(grid.nodes, theta.reshape(-1, theta.shape[-1]), check, observed)
     _step_count += node or grid.n_steps
     if node:
         raise DivergenceError(node, float(grid.nodes[node]))
@@ -362,20 +361,16 @@ def integrate_augmented(model: ModelSpec, theta: Array, grid: TimeGrid) -> Array
     physical block is stepped (bitwise identical to the corresponding rows
     of ``integrate`` on the full augmented system).  A 1-D theta raises
     ``DivergenceError`` at the first non-finite state, a division by zero
-    included.  A batch of shape (..., q) is never checked: non-finite values
-    propagate so the caller can mask them.  One trajectory (a 1-D theta or a
-    batch of one) follows Python float semantics, where a division by zero
-    makes the step NaN; a larger batch divides as IEEE arithmetic does.
-    Runs the compiled sweep when ``kernel`` has one for the model, else
-    ``_sweep``; both give the same bits.  Returns states of shape
-    (n_nodes, ..., d).
+    included, after counting that step.  A batch of shape (..., q), a batch
+    of one included, is never checked: it divides as IEEE arithmetic does,
+    and non-finite values propagate so the caller can mask them.  Runs the
+    compiled sweep when ``kernel`` has one for the model, else ``_sweep``;
+    both give the same bits.  Returns states of shape (n_nodes, ..., d).
     """
     compiled = kernel.sweeps(model)
     if compiled is None:
         return _sweep(model, theta, grid)[0]
-    states, batch = _compiled_pass(
-        lambda rows, pydiv, check: compiled.state(grid.nodes, rows, pydiv, check), theta, grid
-    )
+    states, batch = _compiled_pass(compiled, theta, grid)
     return states.reshape((len(grid.nodes),) + batch + (model.d,))
 
 
@@ -405,11 +400,7 @@ def integrate_loss_terms(model: ModelSpec, theta: Array, grid: TimeGrid, data) -
             return _loss_values(data, states[idx])
 
     observed = (idx, data.values, data.weights, obs.h_matrix, obs.v_inv)
-    terms, batch = _compiled_pass(
-        lambda rows, pydiv, check: compiled.loss(grid.nodes, rows, pydiv, check, observed),
-        theta,
-        grid,
-    )
+    terms, batch = _compiled_pass(compiled, theta, grid, observed)
     return terms.reshape((len(data),) + batch)
 
 

@@ -6,21 +6,21 @@ Model functions use only ``+ - * /`` and negation on their components (see
 the adjoint) therefore records its exact expression DAG: one C statement per
 Python operation, in evaluation order, with constants written as hex float
 literals.  Built with ``-ffp-contract=off``, the C sweeps return the same
-bits as the Python loops.  The state loop can write, in place of the
-states, each observation's weighted loss term; that code is written by hand
-in the operation order of ``observe._loss_values``, with the observation
-dimension a run-time argument, and returns its bits too.
+bits as the Python loops.  The one forward sweep writes either the states
+or, in their place, each observation's weighted loss term; that code is
+written by hand in the operation order of ``observe._loss_values``, with the
+observation dimension a run-time argument, and returns its bits too.
 
-A Python float division by zero raises ``ZeroDivisionError``; the emitted
-code flags every zero divisor, so a sweep can either reproduce the Python
-semantics (the step becomes NaN) or keep IEEE division, as numpy does for a
-batch.
+The emitted code flags every zero divisor.  A checked pass (one trajectory)
+stops at the end node of such a step, where a Python float division raises
+``ZeroDivisionError``; a batch divides as IEEE arithmetic does, as numpy
+does on component arrays.
 
 ``sweeps(model)`` builds the library once per process for each set of
-model functions and returns None when no C compiler is found or the model
-cannot be traced (a branch or comparison on a value, ``**``, a ``math``
-call); ``integrate`` then runs its Python loops, which are also the oracle
-the tests compare against.
+model functions and returns None when no C compiler is found (it warns once)
+or the model cannot be traced (a branch or comparison on a value, ``**``, a
+``math`` call); ``integrate`` then runs its Python loops, which are also the
+oracle the tests compare against.
 """
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ from .dynamics import ModelSpec
 Array = np.ndarray
 
 CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_FALLBACK = "hfda.kernel: no compiled sweeps, running the Python loops"
 
 
 class Var:
@@ -133,89 +134,68 @@ def _c_step(name: str, step, model: ModelSpec, n_out: int) -> str:
     )
 
 
-# The sweeps around the traced steps.  One state loop runs K trajectories
-# from the rows of theta (K x Q); with pydiv a zero divisor makes the step
-# NaN, and with check it stops at the first non-finite state and returns
-# that node.  hfda_state writes every state to out (n x K x D); hfda_loss
-# writes no state but, at the node obs[i] of each observation i (obs
-# nondecreasing), its weighted loss term to terms (N x K), component by
-# component and in the order of ``observe._loss_values``: r = y - H x,
-# u_a = sum_b r_b Vinv_ba, quad = sum_a u_a r_a, each sum left to right from
-# its first product, and w (0.5 quad).  The observation dimension M is an
-# argument, so one library serves every observation model.  hfda_adjoint
-# runs the costate (lambda, mu) back from zero, adding row j of impulses
-# (n x D) to lambda at every node j, and returns the node j + 1 of a step
-# with a zero divisor.
+# The sweeps around the traced steps.  hfda_forward runs K trajectories from
+# the rows of theta (K x Q).  With check it returns the end node j + 1 of the
+# first step that divided by zero or left a non-finite state; without it
+# every step divides as IEEE arithmetic does.  Without terms it writes every
+# state to out (n x K x D); with terms it writes no state but, at the node
+# obs[i] of each observation i (obs nondecreasing), its weighted loss term to
+# terms (N x K), component by component and in the order of
+# ``observe._loss_values``: r = y - H x, u_a = sum_b r_b Vinv_ba,
+# quad = sum_a u_a r_a, each sum left to right from its first product, and
+# w (0.5 quad).  The observation dimension M is an argument, so one library
+# serves every observation model.  hfda_adjoint runs the costate
+# (lambda, mu) back from zero, adding row j of impulses (n x D) to lambda at
+# every node j, and returns the node j + 1 of a step with a zero divisor.
 _SWEEPS = """
-struct loss {
-    long N, M;
-    const long *obs;
-    const double *y, *w, *H, *Vinv;
-};
-
-static double loss_term(const struct loss *o, long i, const double *x)
+static double half_quad(long M, const double *H, const double *Vinv,
+    const double *y, const double *x)
 {
-    const long M = o->M;
-    const double *y = o->y + i * M;
     double r[M], quad = 0.0;
     for (long a = 0; a < M; ++a) {
-        double s = o->H[a * D] * x[0];
+        double s = H[a * D] * x[0];
         for (int c = 1; c < D; ++c)
-            s = s + o->H[a * D + c] * x[c];
+            s = s + H[a * D + c] * x[c];
         r[a] = y[a] - s;
     }
     for (long a = 0; a < M; ++a) {
-        double u = r[0] * o->Vinv[a];
+        double u = r[0] * Vinv[a];
         for (long b = 1; b < M; ++b)
-            u = u + r[b] * o->Vinv[b * M + a];
+            u = u + r[b] * Vinv[b * M + a];
         quad = a ? quad + u * r[a] : u * r[a];
     }
-    return o->w[i] * (0.5 * quad);
+    return 0.5 * quad;
 }
 
-static long sweep(long n, const double *nodes, long K, const double *theta,
-    int pydiv, int check, double *out, const struct loss *loss, double *terms)
+long hfda_forward(long n, const double *nodes, long K, const double *theta,
+    int check, double *out, long N, const long *obs, const double *y,
+    const double *w, long M, const double *H, const double *Vinv, double *terms)
 {
     for (long k = 0; k < K; ++k) {
         const double *p = theta + k * Q + D;
-        double x[D], y[D];
+        double x[D], next[D];
         long i = 0;
         for (int c = 0; c < D; ++c)
             x[c] = theta[k * Q + c];
         for (long j = 0;; ++j) {
-            if (loss)
-                for (; i < loss->N && loss->obs[i] == j; ++i)
-                    terms[i * K + k] = loss_term(loss, i, x);
+            if (terms)
+                for (; i < N && obs[i] == j; ++i)
+                    terms[i * K + k] = w[i] * half_quad(M, H, Vinv, y + i * M, x);
             else
                 for (int c = 0; c < D; ++c)
                     out[(j * K + k) * D + c] = x[c];
             if (j + 1 == n)
                 break;
-            if (state_step(nodes[j], nodes[j + 1] - nodes[j], x, p, 0, y) && pydiv)
-                for (int c = 0; c < D; ++c)
-                    y[c] = __builtin_nan("");
+            if (state_step(nodes[j], nodes[j + 1] - nodes[j], x, p, 0, next) && check)
+                return j + 1;
             for (int c = 0; c < D; ++c) {
-                if (check && !__builtin_isfinite(y[c]))
+                if (check && !__builtin_isfinite(next[c]))
                     return j + 1;
-                x[c] = y[c];
+                x[c] = next[c];
             }
         }
     }
     return 0;
-}
-
-long hfda_state(long n, const double *nodes, long K, const double *theta,
-    double *out, int pydiv, int check)
-{
-    return sweep(n, nodes, K, theta, pydiv, check, out, 0, 0);
-}
-
-long hfda_loss(long n, const double *nodes, long K, const double *theta,
-    int pydiv, int check, long N, const long *obs, const double *y,
-    const double *w, long M, const double *H, const double *Vinv, double *terms)
-{
-    const struct loss loss = {N, M, obs, y, w, H, Vinv};
-    return sweep(n, nodes, K, theta, pydiv, check, 0, &loss, terms);
 }
 
 long hfda_adjoint(long n, const double *nodes, const double *theta,
@@ -260,67 +240,55 @@ def _source(model: ModelSpec) -> str:
 
 
 _DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-_LONGS = np.ctypeslib.ndpointer(ctypes.c_long, flags="C_CONTIGUOUS")
 
 
 class Sweeps:
-    """The compiled state, loss and adjoint sweeps of one model's functions."""
+    """The compiled forward and adjoint sweeps of one model's functions."""
 
     def __init__(self, library: ctypes.CDLL, d: int, q: int):
         self.d, self.q = d, q
         self._library = library
-        self._state = library.hfda_state
-        self._state.argtypes = [
-            ctypes.c_long, _DOUBLES, ctypes.c_long, _DOUBLES, _DOUBLES, ctypes.c_int, ctypes.c_int
+        self._forward = library.hfda_forward
+        # the output and observation arrays go as raw pointers, so that a
+        # pass can leave null the ones it does not use
+        self._forward.argtypes = [
+            ctypes.c_long, _DOUBLES, ctypes.c_long, _DOUBLES, ctypes.c_int, ctypes.c_void_p,
+            ctypes.c_long, *[ctypes.c_void_p] * 3, ctypes.c_long, *[ctypes.c_void_p] * 3,
         ]
-        self._state.restype = ctypes.c_long
-        self._loss = library.hfda_loss
-        self._loss.argtypes = [
-            ctypes.c_long, _DOUBLES, ctypes.c_long, _DOUBLES, ctypes.c_int, ctypes.c_int,
-            ctypes.c_long, _LONGS, _DOUBLES, _DOUBLES, ctypes.c_long, _DOUBLES, _DOUBLES, _DOUBLES,
-        ]
-        self._loss.restype = ctypes.c_long
+        self._forward.restype = ctypes.c_long
         self._adjoint = library.hfda_adjoint
         self._adjoint.argtypes = [ctypes.c_long, _DOUBLES, _DOUBLES, _DOUBLES, _DOUBLES, _DOUBLES]
         self._adjoint.restype = ctypes.c_long
 
-    def _rows(self, nodes: Array, thetas: Array) -> tuple[Array, Array]:
+    def forward(
+        self, nodes: Array, thetas: Array, check: bool, observed: tuple | None = None
+    ) -> tuple[Array, int]:
+        """(out, node) from the rows of ``thetas`` (K, q): the states
+        (n_nodes, K, d), or with ``observed`` the weighted loss term (N, K)
+        of every observation at its node.  ``observed`` is (nondecreasing
+        grid nodes (N,), values (N, M), weights (N,), H (M, d), V^-1 (M, M)),
+        as checked by ``integrate_loss_terms``.  ``node`` is 0, or with
+        ``check`` the end node of the first step that divided by zero or left
+        a non-finite state (the output from there on is not written)."""
         nodes = np.ascontiguousarray(nodes, dtype=float)
         thetas = np.ascontiguousarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != self.q:
             raise ValueError(f"thetas must have shape (K, {self.q}), got {thetas.shape}")
-        return nodes, thetas
-
-    def state(
-        self, nodes: Array, thetas: Array, python_division: bool, check: bool
-    ) -> tuple[Array, int]:
-        """(states (n_nodes, K, d), node) from the rows of ``thetas`` (K, q).
-        ``node`` is 0, or with ``check`` the first node whose state is not
-        finite (the states from there on are not written)."""
-        nodes, thetas = self._rows(nodes, thetas)
-        out = np.empty((len(nodes), len(thetas), self.d))
-        node = self._state(len(nodes), nodes, len(thetas), thetas, out, python_division, check)
+        if observed is None:
+            out = np.empty((len(nodes), len(thetas), self.d))
+            pointers = (out, 0, None, None, None, 0, None, None, None)
+        else:
+            obs_nodes = np.ascontiguousarray(observed[0], dtype=ctypes.c_long)
+            values, weights, h_matrix, v_inv = (
+                np.ascontiguousarray(a, dtype=float) for a in observed[1:]
+            )
+            out = np.empty((len(values), len(thetas)))
+            pointers = (
+                None, len(values), obs_nodes, values, weights, values.shape[1], h_matrix, v_inv, out
+            )
+        args = (a.ctypes.data if isinstance(a, np.ndarray) else a for a in pointers)
+        node = self._forward(len(nodes), nodes, len(thetas), thetas, check, *args)
         return out, node
-
-    def loss(
-        self, nodes: Array, thetas: Array, python_division: bool, check: bool, observed: tuple
-    ) -> tuple[Array, int]:
-        """(terms (N, K), node): the pass of ``state``, writing for each row
-        the weighted loss term of every observation at its node instead of
-        the states.  ``observed`` is (nondecreasing grid nodes (N,), values
-        (N, M), weights (N,), H (M, d), V^-1 (M, M)), as checked by
-        ``integrate_loss_terms``."""
-        nodes, thetas = self._rows(nodes, thetas)
-        obs_nodes = np.ascontiguousarray(observed[0], dtype=ctypes.c_long)
-        values, weights, h_matrix, v_inv = (
-            np.ascontiguousarray(a, dtype=float) for a in observed[1:]
-        )
-        terms = np.empty((len(values), len(thetas)))
-        node = self._loss(
-            len(nodes), nodes, len(thetas), thetas, python_division, check,
-            len(values), obs_nodes, values, weights, values.shape[1], h_matrix, v_inv, terms,
-        )
-        return terms, node
 
     def adjoint(
         self, nodes: Array, theta: Array, states: Array, impulses: Array
@@ -344,13 +312,14 @@ def _compile(compiler: str, source: str, model: ModelSpec) -> Sweeps | None:
             return Sweeps(ctypes.CDLL(str(library)), model.d, model.q)
         except (OSError, subprocess.CalledProcessError) as exc:
             detail = getattr(exc, "stderr", None) or exc
-            warnings.warn(f"hfda.kernel: no compiled sweeps, running the Python loops: {detail}")
+            warnings.warn(f"{_FALLBACK}: {detail}")
             return None
 
 
 # (rhs, jac_x, jac_p, d, p) -> Sweeps or None, and C source -> Sweeps
 _BY_FUNCTIONS: dict[tuple, Sweeps | None] = {}
 _BY_SOURCE: dict[str, Sweeps | None] = {}
+_warned_no_compiler = False  # a missing compiler is reported once per process
 
 
 def sweeps(model: ModelSpec) -> Sweeps | None:
@@ -363,8 +332,12 @@ def sweeps(model: ModelSpec) -> Sweeps | None:
 
 
 def _build(model: ModelSpec) -> Sweeps | None:
+    global _warned_no_compiler
     compiler = shutil.which("cc")
     if compiler is None:
+        if not _warned_no_compiler:
+            _warned_no_compiler = True
+            warnings.warn(f"{_FALLBACK}: no C compiler (cc) on PATH")
         return None
     try:
         source = _source(model)

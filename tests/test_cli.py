@@ -295,12 +295,29 @@ def test_parse_rejects_bad_enumerated_or_nonpositive_value(tmp_path, section, ke
         parse_config(write_config(tmp_path, body))
 
 
-def test_solve_rejects_zero_record_every_before_fitting(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, overrides, named",
+    [
+        ("solve", ["solver.record_every=0"], "override key solver.record_every"),
+        ("solve", ["solver.budget=0"], "[solver] budget or [solver] max_iter"),
+        ("race", ["race.budget=-1"], "[race] budget or [race] max_iter"),
+        ("solve", ["solver.theta0=explicit"], "[solver] theta0_values with 6 components"),
+        (
+            "solve",
+            ["solver.theta0=explicit", "solver.theta0_values=1,2"],
+            "[solver] theta0_values with 6 components",
+        ),
+    ],
+    ids=["record_every", "budget", "race_budget", "theta0_missing", "theta0_count"],
+)
+def test_a_run_that_cannot_start_fails_before_fitting(command, overrides, named, tmp_path, capsys):
     path = write_config(tmp_path, SMALL_FN)
     out = tmp_path / "x"
-    argv = ["solve", "--config", str(path), "--output-dir", str(out)]
-    assert main(argv + ["--set", "solver.record_every=0"]) == 2
-    assert "override key solver.record_every" in capsys.readouterr().err
+    argv = [command, "--config", str(path), "--output-dir", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import shutil
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -308,6 +309,17 @@ def test_a_model_that_branches_on_a_value_keeps_the_python_loops():
     grid = build_grid((0.0, 5.0), 0.25, np.empty(0))
     theta = model.theta_ref()
     assert np.array_equal(integrate_augmented(model, theta, grid), integrate_augmented(base, theta, grid))
+
+
+def test_a_missing_compiler_warns_once_that_the_python_loops_run(monkeypatch):
+    monkeypatch.setattr(kernel.shutil, "which", lambda name: None)
+    monkeypatch.setattr(kernel, "_BY_FUNCTIONS", {})
+    monkeypatch.setattr(kernel, "_warned_no_compiler", False)
+    with pytest.warns(UserWarning, match="no compiled sweeps, running the Python loops"):
+        assert kernel.sweeps(fitzhugh_nagumo()) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel.sweeps(get_model("van_der_pol")) is None
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")

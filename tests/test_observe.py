@@ -321,6 +321,7 @@ def test_zero_tau_diverges_at_the_first_node(sweep_paths):
         "forward": lambda: gradient(model, theta, data, problem.grid, mode="forward"),
         "adjoint": lambda: gradient(model, theta, data, problem.grid, mode="adjoint"),
         "residual_system": lambda: problem.residual_system(theta),
+        "state": lambda: integrate_augmented(model, theta, problem.grid),
     }
     for path in sweep_paths:
         for name, run in runs.items():
@@ -348,6 +349,26 @@ def test_objective_many_masks_a_diverging_row(sweep_paths):
         assert np.isnan(values[0]) and np.isfinite(values[1]), path
         assert np.isnan(objective_many(model, diverging[None], data, grid)[0]), path
         assert np.isclose(values[1], objective(model, finite, data, grid), rtol=1e-13, atol=0), path
+
+
+def test_a_batch_divides_by_zero_as_ieee_arithmetic_does(sweep_paths):
+    # tau = 0: a batch, a batch of one included, is not checked; the row
+    # goes non-finite at node 1 and objective_many masks it
+    model = fitzhugh_nagumo()
+    data = simulate_observations(model, model.params_ref, identity_observation(2, 0.1), 0.1, seed=3)
+    grid = Problem(model, data, h=1.0).grid
+    zero_tau = model.theta_ref()
+    zero_tau[5] = 0.0
+    states = {}
+    for path in sweep_paths:
+        values = objective_many(model, np.array([zero_tau, model.theta_ref()]), data, grid)
+        assert np.isnan(values[0]) and np.isfinite(values[1]), path
+        reset_step_count()
+        states[path] = integrate_augmented(model, zero_tau[None], grid)
+        assert step_count() == grid.n_steps, path
+        assert np.all(np.isfinite(states[path][0])), path
+        assert not np.any(np.isfinite(states[path][1:])), path
+    assert np.array_equal(states["compiled"], states["python"], equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +456,19 @@ def test_compiled_loss_terms_match_the_python_definition_bitwise(name, scale, sw
                 results[path].append(terms)
     for compiled, python in zip(results["compiled"], results["python"]):
         assert np.array_equal(compiled, python)
+
+
+def test_an_empty_observation_set_has_no_loss_terms(sweep_paths):
+    model = fitzhugh_nagumo()
+    data = ObservationSet(times=np.empty(0), values=np.empty((0, 2)), model=identity_observation(2, 0.1))
+    grid = build_grid((0.0, 5.0), 0.25, data.times)
+    theta = model.theta_ref()
+    for path in sweep_paths:
+        for thetas in (theta, np.stack([theta, 1.1 * theta])):
+            reset_step_count()
+            terms = integrate_loss_terms(model, thetas, grid, data)
+            assert terms.shape == (0,) + thetas.shape[:-1], path
+            assert step_count() == grid.n_steps, path
 
 
 def test_loss_terms_reject_an_operator_of_the_wrong_width():
