@@ -38,10 +38,10 @@ from .observe import (
     ObservationSet,
     identity_observation,
     inverse_cdf_gaussian,
+    observation_times,
     simulate_observations,
 )
 from .optimize import (
-    KSGD_FORMS,
     SCHEDULE_KINDS,
     Problem,
     RunTrace,
@@ -107,15 +107,6 @@ def derive_seed(base_seed: int, label: str) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _to_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _optional(convert):
     """``convert`` that reads an empty value, ``auto`` or ``none`` as None."""
 
@@ -134,11 +125,19 @@ def _tuple_of(convert):
     return convert_all
 
 
-def _fraction(raw: str) -> float:
-    value = float(raw)
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"must lie in (0, 1], got {raw.strip()!r}")
-    return value
+def _interval(low: float, high: float):
+    """Converter of a float in the half-open interval (low, high]."""
+
+    def convert(raw: str) -> float:
+        value = float(raw)
+        if not low < value <= high:
+            raise ValueError(f"must lie in ({low:g}, {high:g}], got {raw.strip()!r}")
+        return value
+
+    return convert
+
+
+_fraction = _interval(0.0, 1.0)
 
 
 def _choice(options: tuple[str, ...]):
@@ -182,7 +181,6 @@ class ExperimentConfig:
     h: float | None = _setting("experiment.h", _positive(float), None)
     seed: int = _setting("experiment.seed", int, 1234)
     output_dir: str = _setting("experiment.output_dir", str, "runs")
-    estimate_x0: bool = _setting("experiment.estimate_x0", _to_bool, True)
     mode: str = _setting("experiment.mode", _choice(DERIVATIVE_MODES), "forward")
     obs_period: float | None = _setting("observation.period", _positive(float), None)
     obs_sigma: float | None = _setting("observation.sigma", _positive(float), None)
@@ -191,18 +189,15 @@ class ExperimentConfig:
     modify_scheme: str = _setting("modify.scheme", _choice(("none",) + SCHEME_KINDS), "none")
     modify_potp: float = _setting("modify.potp", _fraction, 0.01)
     modify_seed: int | None = _setting("modify.seed", int, None)
-    modify_reweight: bool = _setting("modify.reweight", _to_bool, False)
     # solver settings (run_solver; name, budget, max_iter and record_every
     # apply to the solve subcommand only)
     solver_name: str = _setting("solver.name", _choice(SOLVER_NAMES), "gd")
     solver_schedule: str = _setting("solver.schedule", _choice(SCHEDULE_KINDS), "constant")
     solver_eta0: float | None = _setting("solver.eta0", _positive(_optional(float)), None)
     solver_k0: float = _setting("solver.k0", _positive(float), 100.0)
-    solver_alpha: float = _setting("solver.alpha", float, 1.0)
-    solver_damping: float | None = _setting("solver.damping", _optional(float), None)
+    solver_alpha: float = _setting("solver.alpha", _interval(0.5, 1.0), 1.0)
     solver_sampler: str = _setting("solver.sampler", _choice(SAMPLER_KINDS), "systematic")
     solver_kappa: int | None = _setting("solver.kappa", _positive(_optional(int)), None)
-    solver_form: str = _setting("solver.form", _choice(KSGD_FORMS), "auto")
     solver_budget: float = _setting("solver.budget", float, 1.0)
     solver_max_iter: int = _setting("solver.max_iter", int, 0)
     solver_gtol: float = _setting("solver.gtol", float, 0.0)
@@ -232,15 +227,18 @@ class ExperimentConfig:
         for attr, key in fill.items():
             if getattr(self, attr) is None:
                 object.__setattr__(self, attr, defaults[key])
+        model = get_model(self.model)
         # fail before the reference fit, naming the keys
+        if observation_times(model.t_span, self.obs_period).size == 0:
+            span = f"{model.t_span[0]:g} to {model.t_span[1]:g}"
+            raise ValueError(f"[observation] period {self.obs_period:g} exceeds the span {span}")
         for section in ("solver", "race"):
             if getattr(self, f"{section}_budget") <= 0 and getattr(self, f"{section}_max_iter") <= 0:
                 raise ValueError(f"[{section}] budget or [{section}] max_iter must be positive")
         if self.theta0_policy == "explicit":
-            q = get_model(self.model).q
-            if self.theta0_values is None or len(self.theta0_values) != q:
+            if self.theta0_values is None or len(self.theta0_values) != model.q:
                 raise ValueError(
-                    f"[solver] theta0 = explicit needs [solver] theta0_values with {q} components"
+                    f"[solver] theta0 = explicit needs [solver] theta0_values with {model.q} components"
                 )
 
     def stream(self, label: str, explicit: int | None = None) -> int:
@@ -284,16 +282,12 @@ def build_problem(
 ) -> Problem:
     """Optionally modify the data, then bind it into a Problem.
 
-    By default superobservation weights emitted by averaging schemes are
-    reset to one (the loss treats them as ordinary observations); with
-    ``modify_reweight`` the stored member counts multiply the loss terms.
+    Superobservation weights emitted by averaging schemes are reset to one,
+    so the loss treats them as ordinary observations.
     """
     if scheme != "none":
-        data = modify_data(config, model, data, scheme, potp)
-        if not config.modify_reweight:
-            data = data.replace_weights(1.0)
-    free = np.arange(model.q) if config.estimate_x0 else np.arange(model.d, model.q)
-    return Problem(model, data, config.h, mode=config.mode, free=free)
+        data = modify_data(config, model, data, scheme, potp).replace_weights(1.0)
+    return Problem(model, data, config.h, mode=config.mode)
 
 
 def resolve_theta0(config: ExperimentConfig, model: ModelSpec) -> Array:
@@ -349,7 +343,6 @@ def _reference_key(config: ExperimentConfig) -> str:
         "period": config.obs_period,
         "sigma": config.obs_sigma,
         "obs_seed": config.stream("observation", config.obs_seed),
-        "estimate_x0": config.estimate_x0,
         "mode": config.mode,
         "ref_max_iter": config.ref_max_iter,
         "ref_gtol": config.ref_gtol,
@@ -560,9 +553,7 @@ def run_solver(
         raise ValueError(f"unknown solver {solver!r}; available: {', '.join(SOLVER_NAMES)}")
     common = dict(budget=budget, max_iter=max_iter, record_every=record_every)
     if solver == "gn":
-        damping = config.solver_damping
-        trace = run_gauss_newton(problem, theta0, damping=damping, gtol=config.solver_gtol, **common)
-        return trace, {"damping": "auto" if damping is None else damping}
+        return run_gauss_newton(problem, theta0, gtol=config.solver_gtol, **common), {}
 
     defaults = MODEL_DEFAULTS[config.model]
     eta0 = config.solver_eta0
@@ -588,8 +579,8 @@ def run_solver(
         schedule = StepSchedule(config.solver_schedule, eta0, config.solver_k0, config.solver_alpha)
         trace = run_sgd(problem, theta0, schedule, sampler, seed=seed, **common)
         return trace, {"eta0": eta0, "kappa": kappa, "sampler": sampler.kind}
-    trace = run_ksgd(problem, theta0, sampler, form=config.solver_form, seed=seed, **common)
-    return trace, {"kappa": kappa, "form": config.solver_form, "sampler": sampler.kind}
+    trace = run_ksgd(problem, theta0, sampler, seed=seed, **common)
+    return trace, {"kappa": kappa, "sampler": sampler.kind}
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,12 @@
 
 A ``Problem`` binds a model, an observation set, the preferred integration
 step, and the derivative mode, and exposes the objective, gradient, sampled
-gradient, and residual-system evaluations the solvers consume.  ``free``
-selects which components of the augmented initial condition are estimated
-(all of them by default; restricting it pins the physical initial state).
+gradient, and residual-system evaluations the solvers consume.  Every
+solver estimates the whole augmented initial condition (physical initial
+state and parameters).
 
 All solvers produce a ``RunTrace``: per-iterate records of accumulated
-solver time, iteration number, the iterate, and an objective proxy.  Only
+solver time, iteration number and the iterate.  Only
 solver work (integration, linear algebra, sampling) is timed; recording is
 excluded, so budgeted runs can be replayed and measured afterwards without
 polluting the budget.
@@ -16,7 +16,7 @@ The Kalman-based update maintains a positive definite matrix C alongside
 the iterate.  Each step solves a sampled Gauss-Newton model regularized by
 the current precision C^-1 and then adds the sampled information into the
 precision.  The step has two algebraically equivalent forms: the
-information form solves a system in the number of estimated components,
+information form solves a system in the number of components q,
 the covariance form (via the Woodbury identity) solves one in the stacked
 residual dimension.
 """
@@ -101,18 +101,12 @@ class StepSchedule:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Per-iteration records of a solver run.
-
-    ``wall_clock`` holds accumulated solver seconds at each record;
-    ``objective_proxy`` is whatever objective estimate the solver had
-    available when producing the iterate (evaluated at the pre-update
-    iterate; NaN when none).
-    """
+    """Per-iteration records of a solver run; ``wall_clock`` holds
+    accumulated solver seconds at each record."""
 
     wall_clock: Array
     iteration: Array
     thetas: Array
-    objective_proxy: Array
     budget: float
     terminated_by: str
     n_iterations: int
@@ -134,7 +128,6 @@ class Problem:
         data: ObservationSet,
         h: float,
         mode: str = "forward",
-        free: Array | None = None,
     ):
         if mode not in DERIVATIVE_MODES:
             raise ValueError(f"unknown derivative mode {mode!r}")
@@ -143,9 +136,6 @@ class Problem:
         self.h = float(h)
         self.mode = mode
         self.grid = build_grid(model.t_span, self.h, data.distinct_times())
-        self.free = np.arange(model.q) if free is None else np.asarray(free, dtype=int)
-        if self.free.size == 0 or self.free.min() < 0 or self.free.max() >= model.q:
-            raise ValueError("free component indices out of range")
 
     @property
     def n_obs(self) -> int:
@@ -193,16 +183,15 @@ class Problem:
 def _run_loop(theta0, step, budget, max_iter, record_every, gtol=0.0):
     """Drive a solver step function under budget/iteration/convergence caps.
 
-    ``step(k, theta) -> (theta_new, proxy, grad_norm)`` performs all timed
-    work; grad_norm may be None for solvers without a convergence test.
+    ``step(k, theta) -> (theta_new, grad_norm)`` performs all timed work;
+    grad_norm may be None for solvers without a convergence test.
     """
     if budget <= 0 and max_iter <= 0:
         raise ValueError("either budget or max_iter must be positive")
     theta = np.asarray(theta0, dtype=float).copy()
-    wall, iters, thetas, proxies = [0.0], [0], [theta.copy()], [np.nan]
+    wall, iters, thetas = [0.0], [0], [theta.copy()]
     solver_time = 0.0
     k = 0
-    proxy = np.nan
     while True:
         if max_iter > 0 and k >= max_iter:
             terminated = "max_iter"
@@ -212,7 +201,7 @@ def _run_loop(theta0, step, budget, max_iter, record_every, gtol=0.0):
             break
         t_start = time.perf_counter()
         try:
-            theta_new, proxy, grad_norm = step(k, theta)
+            theta_new, grad_norm = step(k, theta)
         except DivergenceError:
             terminated = "divergence"
             break
@@ -231,7 +220,6 @@ def _run_loop(theta0, step, budget, max_iter, record_every, gtol=0.0):
             wall.append(solver_time)
             iters.append(k)
             thetas.append(theta.copy())
-            proxies.append(proxy)
         if gtol > 0 and grad_norm is not None and grad_norm <= gtol:
             terminated = "converged"
             break
@@ -239,12 +227,10 @@ def _run_loop(theta0, step, budget, max_iter, record_every, gtol=0.0):
         wall.append(solver_time)
         iters.append(k)
         thetas.append(theta.copy())
-        proxies.append(proxy)
     return RunTrace(
         wall_clock=np.asarray(wall),
         iteration=np.asarray(iters, dtype=int),
         thetas=np.asarray(thetas),
-        objective_proxy=np.asarray(proxies),
         budget=budget,
         terminated_by=terminated,
         n_iterations=k,
@@ -261,14 +247,10 @@ def run_gd(
     record_every: int = 1,
 ) -> RunTrace:
     """Steepest descent on the full (or modified) data objective."""
-    free = problem.free
 
     def step(k, theta):
-        ev = problem.gradient(theta)
-        g = ev.grad[free]
-        theta_new = theta.copy()
-        theta_new[free] -= schedule.eta(k) * g
-        return theta_new, ev.value, float(np.max(np.abs(g)))
+        g = problem.gradient(theta).grad
+        return theta - schedule.eta(k) * g, float(np.max(np.abs(g)))
 
     return _run_loop(theta0, step, budget, max_iter, record_every, gtol)
 
@@ -289,16 +271,13 @@ def run_sgd(
     admits (one coarse step per retained observation for systematic or
     stratified draws), and takes an inverse-probability-weighted step.
     """
-    free = problem.free
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     def step(k, theta):
         sample = sampler.draw(problem.n_obs, rng)
         grid = problem.sample_grid(sample, coarse=sampler.coarse_grid)
         ev = problem.stochastic_gradient(theta, sample, grid)
-        theta_new = theta.copy()
-        theta_new[free] -= schedule.eta(k) * ev.grad[free]
-        return theta_new, ev.value, None
+        return theta - schedule.eta(k) * ev.grad, None
 
     return _run_loop(theta0, step, budget, max_iter, record_every)
 
@@ -320,21 +299,16 @@ def run_gauss_newton(
     damping 0.0 for the undamped step.  Larger ``damping_rel`` tempers the
     step on badly inconsistent (heavily modified) data.
     """
-    free = problem.free
 
     def step(k, theta):
         rs = problem.residual_system(theta)
-        d = rs.d_matrix[:, free]
-        wr = rs.w_inv_apply(rs.r)
-        rhs = d.T @ wr
+        d = rs.d_matrix
+        rhs = d.T @ rs.w_inv_apply(rs.r)
         normal = _sym(d.T @ rs.w_inv_apply(d))
-        lam = damping if damping is not None else damping_rel * np.trace(normal) / len(free)
-        chol = _spd_factor(normal + lam * np.eye(len(free)), "Gauss-Newton normal equations")
-        delta = _cho_solve(chol, rhs)
-        theta_new = theta.copy()
-        theta_new[free] += delta
-        proxy = float(0.5 * rs.r @ wr)
-        return theta_new, proxy, float(np.max(np.abs(rhs)))
+        q = len(theta)
+        lam = damping if damping is not None else damping_rel * np.trace(normal) / q
+        chol = _spd_factor(normal + lam * np.eye(q), "Gauss-Newton normal equations")
+        return theta + _cho_solve(chol, rhs), float(np.max(np.abs(rhs)))
 
     return _run_loop(theta0, step, budget, max_iter, record_every, gtol)
 
@@ -358,21 +332,16 @@ class KsgdState:
     k: int = 0
 
     @classmethod
-    def initial(cls, theta0: Array, n_free: int) -> "KsgdState":
+    def initial(cls, theta0: Array, q: int) -> "KsgdState":
         return cls(
             theta=np.asarray(theta0, dtype=float).copy(),
-            c_inv=np.eye(n_free),
-            c=np.eye(n_free),
+            c_inv=np.eye(q),
+            c=np.eye(q),
             k=0,
         )
 
 
-def ksgd_step(
-    state: KsgdState,
-    rs: ResidualSystem,
-    form: str = "information",
-    free: Array | None = None,
-) -> KsgdState:
+def ksgd_step(state: KsgdState, rs: ResidualSystem, form: str = "information") -> KsgdState:
     """One Kalman-based update from a residual system built at state.theta.
 
     information form:  theta += (D'W^-1 D + C^-1)^-1 D'W^-1 r
@@ -383,8 +352,7 @@ def ksgd_step(
     """
     if form == "auto" or form not in KSGD_FORMS:
         raise ValueError(f"unknown kSGD form {form!r}")
-    free = np.arange(len(state.theta)) if free is None else np.asarray(free, dtype=int)
-    d = rs.d_matrix[:, free]
+    d = rs.d_matrix
     c_inv_new = c_new = None
 
     if form == "information":
@@ -394,7 +362,7 @@ def ksgd_step(
         chol = _spd_factor(c_inv_new, "kSGD precision solve")
         delta = _cho_solve(chol, d.T @ rs.w_inv_apply(rs.r))
         if state.c is not None:
-            c_new = _sym(_cho_solve(chol, np.eye(len(free))))
+            c_new = _sym(_cho_solve(chol, np.eye(len(delta))))
     else:
         if state.c is None:
             raise SolverError("covariance form requires the covariance matrix")
@@ -405,9 +373,7 @@ def ksgd_step(
         if state.c_inv is not None:
             c_inv_new = _sym(state.c_inv + d.T @ rs.w_inv_apply(d))
 
-    theta_new = state.theta.copy()
-    theta_new[free] += delta
-    return KsgdState(theta=theta_new, c_inv=c_inv_new, c=c_new, k=state.k + 1)
+    return KsgdState(theta=state.theta + delta, c_inv=c_inv_new, c=c_new, k=state.k + 1)
 
 
 def run_ksgd(
@@ -423,14 +389,14 @@ def run_ksgd(
     """Kalman-based SGD: fresh sample, residual system, update, repeat.
 
     ``form`` "auto" picks the information form whenever the number of
-    estimated components is at most the stacked residual dimension (the
-    smaller implicit linear system), else the covariance form.
+    components q is at most the stacked residual dimension (the smaller
+    implicit linear system), else the covariance form.
     """
     if form not in KSGD_FORMS:
         raise ValueError(f"unknown kSGD form {form!r}")
-    free = problem.free
+    q = problem.model.q
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    box = {"state": KsgdState.initial(theta0, len(free))}
+    box = {"state": KsgdState.initial(theta0, q)}
 
     def step(k, theta):
         state = box["state"]
@@ -439,10 +405,8 @@ def run_ksgd(
         rs = problem.residual_system(state.theta, sample, grid)
         use = form
         if use == "auto":
-            use = "information" if len(free) <= rs.n_rows else "covariance"
-        new_state = ksgd_step(state, rs, form=use, free=free)
-        box["state"] = new_state
-        proxy = float(0.5 * rs.r @ rs.w_inv_apply(rs.r))
-        return new_state.theta, proxy, None
+            use = "information" if q <= rs.n_rows else "covariance"
+        box["state"] = ksgd_step(state, rs, form=use)
+        return box["state"].theta, None
 
     return _run_loop(theta0, step, budget, max_iter, record_every)

@@ -151,12 +151,17 @@ class ResidualSystem:
     ``w_inv_blocks`` of shape (m, n, n) and applied without assembling the
     full matrix (the dense ``w`` view exists for small systems).
     For the Gaussian-affine loss, d_matrix' w_inv r equals minus the
-    stochastic gradient.
+    stochastic gradient.  d_matrix is stored column-major: the BLAS kernels
+    of the Gauss-Newton and kSGD normal products, and so their roundoff,
+    depend on its layout.
     """
 
     r: Array
     d_matrix: Array
     w_inv_blocks: Array
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "d_matrix", np.asfortranarray(self.d_matrix))
 
     @property
     def n_rows(self) -> int:

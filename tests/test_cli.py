@@ -66,6 +66,17 @@ def test_parse_rejects_unknown_key(tmp_path):
         parse_config(path)
     with pytest.raises(ConfigError, match="unknown override key"):
         parse_config(write_config(tmp_path, MINIMAL), overrides=["solver.warpdrive=9"])
+    # estimating part of θ, reweighting averages, GN damping and the kSGD form are not settings
+    removed = [
+        ("experiment", "estimate_x0", "false"),
+        ("modify", "reweight", "true"),
+        ("solver", "damping", "0"),
+        ("solver", "form", "covariance"),
+    ]
+    for section, key, value in removed:
+        extra = f"{key} = {value}\n" if section == "experiment" else f"\n[{section}]\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=rf"unknown config key \[{section}\] {key}"):
+            parse_config(write_config(tmp_path, MINIMAL + extra))
 
 
 def test_parse_rejects_missing_file(tmp_path):
@@ -262,7 +273,6 @@ def test_unknown_sampler_exits_before_fitting(tmp_path):
         ("experiment", "mode", "reverse"),
         ("solver", "name", "bfgs"),
         ("solver", "sampler", "bogus"),
-        ("solver", "form", "qr"),
         ("solver", "schedule", "cosine"),
         ("solver", "theta0", "random"),
         ("solver", "kappa", "0"),
@@ -282,6 +292,8 @@ def test_unknown_sampler_exits_before_fitting(tmp_path):
         ("table1", "max_iter", "0"),
         ("reference", "max_iter", "0"),
         ("solver", "k0", "0"),
+        ("solver", "alpha", "2"),
+        ("observation", "period", "60"),
     ],
 )
 def test_parse_rejects_bad_enumerated_or_nonpositive_value(tmp_path, section, key, value):
@@ -326,7 +338,7 @@ def test_every_setting_declares_one_key_and_a_converter():
     keys = [f.metadata["key"] for f in fields]
     assert all(len(key) == 2 and all(key) for key in keys)
     assert all(callable(f.metadata["convert"]) for f in fields)
-    assert len(set(keys)) == len(keys) == 40
+    assert len(set(keys)) == len(keys) == 36
     assert cli._SCHEMA == {f.metadata["key"]: (f.name, f.metadata["convert"]) for f in fields}
 
 

@@ -108,3 +108,36 @@ def test_library_references_every_private_name_it_defines():
     package = Path(hfda.__file__).resolve().parent
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     assert _unreferenced_private_names(sources) == []
+
+
+def _unread_fields(sources: dict[str, str], class_name: str) -> list[str]:
+    """Annotated fields of class ``class_name`` in ``sources`` (module name
+    -> source) that no ``obj.field`` load anywhere in them reads."""
+    fields, read = [], set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and node.name == class_name:
+                fields += [
+                    stmt.target.id
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [name for name in fields if name not in read]
+
+
+def test_unread_fields_are_flagged():
+    sources = {
+        "a": "class Config:\n    seed: int = 1\n    knob: bool = False\n    dead: int = 0\n",
+        "b": "def run(config):\n    config.dead = 2\n    return config.seed\n",
+    }
+    assert _unread_fields(sources, "Config") == ["knob", "dead"]
+
+
+def test_every_config_setting_is_read():
+    """Every ``ExperimentConfig`` field is read as an attribute somewhere in
+    the package, so a config key whose value nothing uses shows up here."""
+    package = Path(hfda.__file__).resolve().parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _unread_fields(sources, "ExperimentConfig") == []

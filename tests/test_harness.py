@@ -111,7 +111,6 @@ def test_replay_trace_of_reference_is_zero(small_config, tmp_path):
         wall_clock=np.array([0.0, 0.5]),
         iteration=np.array([0, 1]),
         thetas=np.array([theta_hat, theta_hat]),
-        objective_proxy=np.array([np.nan, np.nan]),
         budget=1.0,
         terminated_by="max_iter",
         n_iterations=1,
@@ -139,7 +138,6 @@ def test_replay_trace_singleton_and_term_for_term(small_config, tmp_path):
         wall_clock=np.array([0.0]),
         iteration=np.array([0]),
         thetas=theta0[None],
-        objective_proxy=np.array([np.nan]),
         budget=0.0,
         terminated_by="max_iter",
         n_iterations=0,
@@ -159,7 +157,6 @@ def test_replay_drops_nonfinite_rows(small_config, tmp_path):
         wall_clock=np.array([0.0, 0.4]),
         iteration=np.array([0, 1]),
         thetas=np.array([theta_hat, bad]),
-        objective_proxy=np.array([np.nan, np.nan]),
         budget=1.0,
         terminated_by="max_iter",
         n_iterations=1,

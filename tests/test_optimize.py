@@ -26,7 +26,6 @@ class QuadraticProblem:
 
     def __init__(self, a):
         self.a = np.asarray(a, dtype=float)
-        self.free = np.arange(len(self.a))
 
     def gradient(self, theta):
         return GradientEvaluation(value=float(0.5 * theta @ self.a @ theta), grad=self.a @ theta)
@@ -137,15 +136,6 @@ def test_gd_convergence_stopping():
     assert np.linalg.norm(trace.final_theta) <= 1e-9
 
 
-def test_gd_respects_free_mask(fn_small):
-    model, data, _ = fn_small
-    problem = Problem(model, data, h=0.25, free=np.arange(model.d, model.q))
-    theta0 = model.theta_ref() * 1.05
-    trace = run_gd(problem, theta0, StepSchedule("constant", 1e-6), max_iter=3)
-    assert np.array_equal(trace.final_theta[: model.d], theta0[: model.d])
-    assert not np.array_equal(trace.final_theta[model.d :], theta0[model.d :])
-
-
 # ---------------------------------------------------------------------------
 # stochastic gradient descent
 # ---------------------------------------------------------------------------
@@ -176,7 +166,7 @@ def test_sgd_converges_to_batch_minimizer_on_linear_gaussian():
     model = linear_system(np.zeros((1, 1)), np.zeros((1, 1)), x0=np.array([1.0]), t_span=(0.0, 10.0))
     obs_model = identity_observation(1, 0.5)
     data = simulate_observations(model, np.zeros(1), obs_model, 0.1, seed=21)
-    problem = Problem(model, data, h=1.0, free=np.array([0]))
+    problem = Problem(model, data, h=1.0)
     batch_minimizer = float(np.mean(data.values))
 
     theta0 = np.array([batch_minimizer + 1.0, 0.0])
@@ -262,15 +252,6 @@ def test_gauss_newton_reaches_stationarity(fn_small):
     assert trace.terminated_by == "converged"
     assert problem.objective(trace.final_theta) < problem.objective(model.theta_ref())
     assert np.max(np.abs(problem.gradient(trace.final_theta).grad)) <= 1e-2
-
-
-def test_gauss_newton_respects_free_mask(fn_small):
-    model, data, _ = fn_small
-    problem = Problem(model, data, h=0.25, free=np.arange(model.d, model.q))
-    theta0 = model.theta_ref() * 1.02
-    trace = run_gauss_newton(problem, theta0, max_iter=3)
-    assert np.array_equal(trace.final_theta[: model.d], theta0[: model.d])
-    assert not np.array_equal(trace.final_theta[model.d :], theta0[model.d :])
 
 
 def test_cholesky_solve_matches_scipy():

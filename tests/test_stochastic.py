@@ -241,6 +241,18 @@ def test_residual_rows_on_shared_times_follow_each_observation_node(fn_small):
     assert np.array_equal(rs.d_matrix, np.concatenate([h_matrix @ sens[j] for j in nodes]))
 
 
+def test_residual_jacobian_is_stored_column_major(fn_small):
+    # the Gauss-Newton and kSGD normal products take their roundoff from
+    # the layout of D, so assembled and hand-built systems share one layout
+    model, data, problem = fn_small
+    s = offsets_sample(len(data), 5, 2)
+    rs = residual_system(model, model.theta_ref(), data, s, problem.sample_grid(s))
+    d = np.arange(12.0).reshape(6, 2)
+    hand = ResidualSystem(r=np.zeros(6), d_matrix=d, w_inv_blocks=np.ones((6, 1, 1)))
+    assert rs.d_matrix.flags.f_contiguous and rs.d_matrix.shape == (2 * len(s), model.q)
+    assert hand.d_matrix.flags.f_contiguous and np.array_equal(hand.d_matrix, d)
+
+
 def test_dense_weight_views_are_consistent():
     blocks = np.array([[[2.0]], [[4.0]]])
     rs = ResidualSystem(r=np.array([1.0, 2.0]), d_matrix=np.eye(2), w_inv_blocks=blocks)
