@@ -95,7 +95,7 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return out
 
 
-def _write_observation_metadata(config: ExperimentConfig, data, path: Path) -> None:
+def _write_observation_metadata(config: ExperimentConfig, data) -> None:
     obs = data.model
     lines = {
         "model": config.model,
@@ -107,9 +107,7 @@ def _write_observation_metadata(config: ExperimentConfig, data, path: Path) -> N
         "h_matrix": ";".join(",".join(f"{v:.17g}" for v in row) for row in obs.h_matrix),
         "v_matrix": ";".join(",".join(f"{v:.17g}" for v in row) for row in obs.v_matrix),
     }
-    with open(path, "w") as fh:
-        for key, value in lines.items():
-            fh.write(f"{key} = {value}\n")
+    harness.write_lines(config, "observations.meta", [f"{key} = {value}" for key, value in lines.items()])
 
 
 def cmd_simulate(config: ExperimentConfig) -> int:
@@ -118,7 +116,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     out = _out_dir(config)
     csv_path = out / f"{config.model}_observations.csv"
     observe.write_observations_csv(data, csv_path)
-    _write_observation_metadata(config, data, out / f"{config.model}_observations.meta")
+    _write_observation_metadata(config, data)
     print(f"simulate: {len(data)} observations of {model.name} -> {csv_path}")
     return 0
 
@@ -144,11 +142,12 @@ def cmd_solve(config: ExperimentConfig) -> int:
 
     Exits 1 when replay kept no finite record."""
     name, scheme = config.solver_name, config.modify_scheme
-    run = harness.run_one(
-        config, harness.prepare_baseline(config), f"{name}_{scheme}", name, scheme,
-        config.modify_potp, budget=config.solver_budget, max_iter=config.solver_max_iter,
-        record_every=config.solver_record_every,
+    base = harness.prepare_baseline(config)
+    row = harness.GridRow(
+        f"{name}_{scheme}", name, scheme, config.modify_potp, base.theta0, config.solver_budget,
+        config.solver_max_iter, config.solver_gtol, config.solver_record_every,
     )
+    (run,) = harness.run_grid(config, base, [row])
     csv_path = harness.write_run(config, run)
     print(
         f"solve: {name} on {config.model}/{scheme} finished by "

@@ -12,6 +12,10 @@ Reproduces two experiment shapes on regenerated synthetic data:
   wall-clock budget, then replay every recorded iterate through the full
   objective to obtain error-versus-time traces.
 
+Both, and ``solve``, are lists of ``GridRow``s plus their writers.
+``run_grid`` runs every row alike: it builds the modified problem, runs the
+solver through ``run_solver`` and scores the iterates through G.
+
 All randomness flows from the experiment seed through named substreams
 (observation noise, scheme sampling, solver sampling, initial perturbation),
 derived as SeedSequence((seed, crc32(label))).  The unmodified-problem
@@ -268,9 +272,13 @@ def modify_data(
     config: ExperimentConfig, model: ModelSpec, data: ObservationSet, scheme: str, potp: float
 ) -> ObservationSet:
     """Apply one modification scheme at target fraction ``potp``; the
-    sampling schemes draw from the ``modify/<scheme>/<potp>`` stream."""
+    sampling schemes draw from the ``modify/<scheme>/<potp>`` stream.
+
+    Superobservation weights emitted by averaging schemes are reset to one,
+    so the loss treats them as ordinary observations.
+    """
     seed = config.stream(f"modify/{scheme}/{potp}", config.modify_seed)
-    return make_scheme(scheme, model.t_span, config.obs_period, potp, seed).apply(data)
+    return make_scheme(scheme, model.t_span, config.obs_period, potp, seed).apply(data).replace_weights(1.0)
 
 
 def build_problem(
@@ -280,13 +288,9 @@ def build_problem(
     scheme: str = "none",
     potp: float = 1.0,
 ) -> Problem:
-    """Optionally modify the data, then bind it into a Problem.
-
-    Superobservation weights emitted by averaging schemes are reset to one,
-    so the loss treats them as ordinary observations.
-    """
+    """Optionally modify the data, then bind it into a Problem."""
     if scheme != "none":
-        data = modify_data(config, model, data, scheme, potp).replace_weights(1.0)
+        data = modify_data(config, model, data, scheme, potp)
     return Problem(model, data, config.h, mode=config.mode)
 
 
@@ -374,8 +378,6 @@ def reference_minimizer(
         gtol=config.ref_gtol,
     )
     theta_hat = trace.final_theta
-    # evaluated through the batched path so replayed errors of theta_hat
-    # itself are exactly zero
     g_ref = float(problem.objective_many(theta_hat[None])[0])
     if cache_path is not None and trace.terminated_by == "converged":
         payload = {
@@ -392,195 +394,8 @@ def reference_minimizer(
 
 
 # ---------------------------------------------------------------------------
-# Relative-error study
+# The runner: every study, race and solve run is a row of run_grid
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StudyRow:
-    scheme: str
-    potp: float
-    relative_error: float
-    # "ok" (converged), "max_iter" (stopped at table1_max_iter) or "failed";
-    # a fit rescued by a larger damping carries "(damping_rel=...)"
-    status: str
-
-
-@dataclass(frozen=True)
-class RelativeErrorReport:
-    rows: tuple[StudyRow, ...]
-    reference_objective: float
-
-
-def _fit_modified(config: ExperimentConfig, model: ModelSpec, prob_mod: Problem) -> tuple:
-    """GN from the reference state, escalating the damping factor if a run
-    diverges (a hand-tuned safeguard for badly displaced data).  The status
-    says whether the fit converged ("ok") or ran out of iterations
-    ("max_iter")."""
-    for damping_rel in (1e-8, 1e-4, 1e-2, 1.0):
-        try:
-            trace = run_gauss_newton(
-                prob_mod,
-                model.theta_ref(),
-                damping=None,
-                max_iter=config.table1_max_iter,
-                gtol=config.table1_gtol,
-                damping_rel=damping_rel,
-            )
-        except SolverError:
-            continue
-        if trace.terminated_by != "divergence":
-            status = "max_iter" if trace.terminated_by == "max_iter" else "ok"
-            if damping_rel != 1e-8:
-                status += f"(damping_rel={damping_rel:g})"
-            return trace.final_theta, status
-    return None, "failed"
-
-
-def run_table1_study(config: ExperimentConfig, write_csv: bool = True) -> RelativeErrorReport:
-    """Fit all six schemes at each target fraction and report relative errors.
-
-    Every fit is Gauss-Newton initialized at the reference augmented state;
-    the scheme "none" row is the reference fit itself (error exactly zero).
-    Fits that never produce a finite estimate are reported as infinite
-    relative error and flagged.
-    """
-    base = prepare_baseline(config)
-    none_value = float(base.problem.objective_many(base.theta_hat[None])[0])
-    rows = [StudyRow("none", 1.0, (none_value - base.g_ref) / base.g_ref, "ok")]
-
-    def fit_one(kind, potp):
-        prob_mod = build_problem(config, base.model, base.data, kind, potp)
-        theta_fit, status = _fit_modified(config, base.model, prob_mod)
-        if theta_fit is None:
-            return StudyRow(kind, potp, np.inf, "failed")
-        value = base.problem.objective_many(theta_fit[None])[0]
-        err = np.inf if not np.isfinite(value) else (float(value) - base.g_ref) / base.g_ref
-        return StudyRow(kind, potp, err, status)
-
-    rows.extend(fit_one(kind, potp) for kind in SCHEME_KINDS for potp in config.table1_potps)
-
-    report = RelativeErrorReport(rows=tuple(rows), reference_objective=base.g_ref)
-    if write_csv:
-        out_dir = Path(config.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"{config.model}_relative_error.csv"
-        with open(path, "w") as fh:
-            fh.write("scheme,potp,relative_error\n")
-            for row in report.rows:
-                fh.write(f"{row.scheme},{row.potp:.17g},{row.relative_error:.17g}\n")
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Budget race
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RaceRun:
-    label: str
-    solver: str
-    scheme: str
-    potp: float  # the fraction the run's problem and sampling stride were built at
-    trace: RunTrace
-    times: Array
-    errors: Array
-    dropped_records: int
-    hyper: dict = dataclasses.field(default_factory=dict)
-
-    @property
-    def final_error(self) -> float:
-        """The last replayed relative error; NaN when replay kept no record."""
-        return float(self.errors[-1]) if len(self.errors) else np.nan
-
-
-@dataclass(frozen=True)
-class RaceResult:
-    model: str
-    reference_objective: float
-    theta_ref_hat: Array
-    theta0: Array
-    runs: tuple[RaceRun, ...]
-
-    def run(self, label: str) -> RaceRun:
-        for r in self.runs:
-            if r.label == label:
-                return r
-        raise KeyError(label)
-
-
-def replay_trace(trace: RunTrace, problem: Problem, theta_ref_hat: Array) -> tuple[Array, Array]:
-    """Relative error of every recorded iterate against the reference
-    minimizer.
-
-    One batched integration evaluates the unmodified objective at the
-    reference minimizer and at all recorded iterates together, so replaying
-    the minimizer's own trace yields exactly zero.  Rows whose objective is
-    not finite (an iterate whose trajectory blows up) are dropped.
-    """
-    stacked = np.vstack([np.asarray(theta_ref_hat, dtype=float)[None], trace.thetas])
-    values = problem.objective_many(stacked)
-    g_ref = values[0]
-    errors = (values[1:] - g_ref) / g_ref
-    keep = np.isfinite(errors)
-    return trace.wall_clock[keep], errors[keep]
-
-
-def run_solver(
-    config: ExperimentConfig,
-    solver: str,
-    problem: Problem,
-    theta0: Array,
-    *,
-    n_full: int,
-    budget: float,
-    max_iter: int,
-    record_every: int,
-) -> tuple[RunTrace, dict]:
-    """Run one named solver on ``problem`` with the ``[solver]`` settings.
-
-    Unset step sizes fall back to the per-model tuned constants; the GD
-    step is rescaled by n_full / len(problem.data) because constant steps
-    are tuned against the full-data gradient scale and thinned problems see
-    proportionally smaller gradients.  The sampling stride is ``[solver]
-    kappa``, else the model's tuned stride rescaled to keep the coarse step
-    kappa * period and by len(problem.data) / n_full, so that a thinned
-    problem keeps the full data's coarse step; either is clamped to the
-    number of observations.  Returns the trace and its hyperparameters.
-    """
-    if solver not in SOLVER_NAMES:
-        raise ValueError(f"unknown solver {solver!r}; available: {', '.join(SOLVER_NAMES)}")
-    common = dict(budget=budget, max_iter=max_iter, record_every=record_every)
-    if solver == "gn":
-        return run_gauss_newton(problem, theta0, gtol=config.solver_gtol, **common), {}
-
-    defaults = MODEL_DEFAULTS[config.model]
-    eta0 = config.solver_eta0
-    if eta0 is None and solver != "ksgd":
-        eta0 = defaults[f"{solver}_eta0"]
-    if solver == "gd":
-        eta0 = eta0 * n_full / len(problem.data)
-        schedule = StepSchedule(config.solver_schedule, eta0, config.solver_k0, config.solver_alpha)
-        trace = run_gd(problem, theta0, schedule, gtol=config.solver_gtol, **common)
-        return trace, {"eta0": eta0}
-
-    kappa = config.solver_kappa
-    if kappa is None:
-        scaled = defaults["kappa"] * defaults["period"] / config.obs_period
-        kappa = max(1, round_half_away(scaled * (len(problem.data) / n_full)))
-    kappa = min(kappa, len(problem.data))
-    if config.solver_sampler == "simple":
-        sampler = Sampler("simple", m=max(1, round_half_away(len(problem.data) / kappa)))
-    else:
-        sampler = Sampler(config.solver_sampler, kappa=kappa)
-    seed = config.stream(solver, config.solver_seed)
-    if solver == "sgd":
-        schedule = StepSchedule(config.solver_schedule, eta0, config.solver_k0, config.solver_alpha)
-        trace = run_sgd(problem, theta0, schedule, sampler, seed=seed, **common)
-        return trace, {"eta0": eta0, "kappa": kappa, "sampler": sampler.kind}
-    trace = run_ksgd(problem, theta0, sampler, seed=seed, **common)
-    return trace, {"kappa": kappa, "sampler": sampler.kind}
 
 
 @dataclass(frozen=True)
@@ -605,91 +420,188 @@ def prepare_baseline(config: ExperimentConfig) -> Baseline:
     return Baseline(model, data, problem, theta_hat, g_ref, resolve_theta0(config, model))
 
 
-def run_one(
+@dataclass(frozen=True)
+class GridRow:
+    """One run of ``run_grid``: ``solver`` from ``start`` on the data
+    modified by ``scheme`` at ``potp`` ("none": unmodified), with the caps,
+    tolerance and recording stride ``run_solver`` takes; ``rescue`` lets the
+    study's damping ladder retry a diverging fit."""
+
+    label: str
+    solver: str
+    scheme: str
+    potp: float
+    start: Array
+    budget: float
+    max_iter: int
+    gtol: float
+    record_every: int
+    rescue: bool = False
+
+
+@dataclass(frozen=True)
+class RaceRun:
+    """The run of one row.  ``scores`` holds the relative error of every
+    recorded iterate (NaN where the unmodified objective is not finite).
+    ``status`` is "ok" (converged), "failed" (diverged, or no rung of the
+    ladder gave a fit: ``trace`` None) or the cap that stopped the fit
+    ("max_iter", "budget"); a rescued fit adds "(damping_rel=...)"."""
+
+    label: str
+    solver: str
+    scheme: str
+    potp: float
+    trace: RunTrace | None
+    scores: Array
+    hyper: dict
+    status: str
+
+    @property
+    def errors(self) -> Array:
+        """The replayed relative errors: the finite scores."""
+        return self.scores[np.isfinite(self.scores)]
+
+    @property
+    def final_error(self) -> float:
+        """The last replayed relative error; NaN when replay kept no record."""
+        return float(self.errors[-1]) if len(self.errors) else np.nan
+
+
+def _score(problem: Problem, theta_hat: Array, thetas: Array) -> Array:
+    """Relative errors of the rows of ``thetas`` against ``theta_hat``
+    through ``problem``'s objective (NaN where not finite), in one batched
+    pass whose rows are bitwise ``objective``: theta_hat itself scores 0."""
+    stacked = np.vstack([np.asarray(theta_hat, dtype=float)[None], thetas])
+    values = problem.objective_many(stacked)
+    return (values[1:] - values[0]) / values[0]
+
+
+def replay_trace(trace: RunTrace, problem: Problem, theta_ref_hat: Array) -> tuple[Array, Array]:
+    """(solver seconds, relative error) of every recorded iterate against
+    the reference minimizer, dropping iterates whose objective is not
+    finite (a trajectory that blows up)."""
+    errors = _score(problem, theta_ref_hat, trace.thetas)
+    keep = np.isfinite(errors)
+    return trace.wall_clock[keep], errors[keep]
+
+
+# Gauss-Newton relative dampings a rescue row tries in turn (a hand-tuned safeguard)
+_DAMPING_LADDER = (1e-8, 1e-4, 1e-2, 1.0)
+
+
+def run_solver(
     config: ExperimentConfig,
-    base: Baseline,
-    label: str,
     solver: str,
-    scheme: str,
-    potp: float,
+    problem: Problem,
+    theta0: Array,
     *,
+    n_full: int,
     budget: float,
     max_iter: int,
     record_every: int,
-) -> RaceRun:
-    """Run ``solver`` from the baseline start on the data modified by
-    ``scheme`` at ``potp`` (the unmodified problem for ``"none"``), then
-    replay its trace through the unmodified objective."""
-    problem = base.problem
-    if scheme != "none":
-        problem = build_problem(config, base.model, base.data, scheme, potp)
-    trace, hyper = run_solver(
-        config,
-        solver,
-        problem,
-        base.theta0,
-        n_full=len(base.data),
-        budget=budget,
-        max_iter=max_iter,
-        record_every=record_every,
-    )
-    times, errors = replay_trace(trace, base.problem, base.theta_hat)
-    return RaceRun(label, solver, scheme, potp, trace, times, errors, len(trace) - len(times), hyper)
+    gtol: float = 0.0,
+    damping_rel: float = _DAMPING_LADDER[0],
+) -> tuple[RunTrace, dict]:
+    """Run one named solver on ``problem`` with the ``[solver]`` settings.
 
-
-def _race_runs(config: ExperimentConfig) -> list[tuple[str, str, str]]:
-    """(label, solver, scheme) triples: 8 first-order + 8 second-order."""
-    sampled = config.solver_sampler
-    runs = [("gd_none", "gd", "none")]
-    runs += [(f"gd_{kind}", "gd", kind) for kind in SCHEME_KINDS]
-    runs.append((f"sgd_{sampled}", "sgd", "none"))
-    runs.append(("gn_none", "gn", "none"))
-    runs += [(f"gn_{kind}", "gn", kind) for kind in SCHEME_KINDS]
-    runs.append((f"ksgd_{sampled}", "ksgd", "none"))
-    return runs
-
-
-def run_budget_race(config: ExperimentConfig, write_csv: bool = True) -> RaceResult:
-    """Race all solver/scheme combinations under the shared budget.
-
-    Modified problems are built at the race's target fraction; SGD and kSGD
-    draw with the ``[solver]`` sampler (systematic by default) at the stride
-    ``run_solver`` picks.  Every run goes through ``run_one`` and so
-    ``run_solver``, as ``solve`` does, so all ``[solver]`` settings other
-    than name, budget, max_iter and record_every apply here too.
+    ``gtol`` is the convergence tolerance of GD and GN, ``damping_rel``
+    GN's relative damping.  Unset step sizes fall back to the per-model
+    tuned constants; the GD step is rescaled by n_full / len(problem.data)
+    because constant steps are tuned against the full-data gradient scale
+    and thinned problems see proportionally smaller gradients.  The
+    sampling stride is ``[solver] kappa``, else the model's tuned stride
+    rescaled to keep the coarse step kappa * period and by
+    len(problem.data) / n_full, so that a thinned problem keeps the full
+    data's coarse step; either is clamped to the number of observations.
+    Returns the trace and its hyperparameters.
     """
-    base = prepare_baseline(config)
-    runs = tuple(
-        run_one(
-            config,
-            base,
-            label,
-            solver,
-            scheme,
-            config.race_potp,
-            budget=config.race_budget,
-            max_iter=config.race_max_iter,
-            record_every=1 if label in ("gd_none", "gn_none") else config.race_record_every,
-        )
-        for label, solver, scheme in _race_runs(config)
-    )
-    if write_csv:
-        for run in runs:
-            write_run(config, run)
-    return RaceResult(config.model, base.g_ref, base.theta_hat, base.theta0, runs)
+    if solver not in SOLVER_NAMES:
+        raise ValueError(f"unknown solver {solver!r}; available: {', '.join(SOLVER_NAMES)}")
+    common = dict(budget=budget, max_iter=max_iter, record_every=record_every)
+    if solver == "gn":
+        return run_gauss_newton(problem, theta0, gtol=gtol, damping_rel=damping_rel, **common), {}
+
+    defaults = MODEL_DEFAULTS[config.model]
+    eta0 = config.solver_eta0
+    if eta0 is None and solver != "ksgd":
+        eta0 = defaults[f"{solver}_eta0"]
+    if solver == "gd":
+        eta0 = eta0 * n_full / len(problem.data)
+        schedule = StepSchedule(config.solver_schedule, eta0, config.solver_k0, config.solver_alpha)
+        trace = run_gd(problem, theta0, schedule, gtol=gtol, **common)
+        return trace, {"eta0": eta0}
+
+    kappa = config.solver_kappa
+    if kappa is None:
+        scaled = defaults["kappa"] * defaults["period"] / config.obs_period
+        kappa = max(1, round_half_away(scaled * (len(problem.data) / n_full)))
+    kappa = min(kappa, len(problem.data))
+    if config.solver_sampler == "simple":
+        sampler = Sampler("simple", m=max(1, round_half_away(len(problem.data) / kappa)))
+    else:
+        sampler = Sampler(config.solver_sampler, kappa=kappa)
+    seed = config.stream(solver, config.solver_seed)
+    if solver == "sgd":
+        schedule = StepSchedule(config.solver_schedule, eta0, config.solver_k0, config.solver_alpha)
+        trace = run_sgd(problem, theta0, schedule, sampler, seed=seed, **common)
+        return trace, {"eta0": eta0, "kappa": kappa, "sampler": sampler.kind}
+    trace = run_ksgd(problem, theta0, sampler, seed=seed, **common)
+    return trace, {"kappa": kappa, "sampler": sampler.kind}
+
+
+def _fit(config: ExperimentConfig, row: GridRow, problem: Problem, n_full: int):
+    """(trace, hyperparameters, status) of the row's solver run through
+    ``run_solver``.  A rescue row climbs the damping ladder while its fit
+    diverges or its normal equations fail."""
+    for damping_rel in _DAMPING_LADDER if row.rescue else _DAMPING_LADDER[:1]:
+        try:
+            trace, hyper = run_solver(
+                config, row.solver, problem, row.start, n_full=n_full, budget=row.budget,
+                max_iter=row.max_iter, record_every=row.record_every, gtol=row.gtol, damping_rel=damping_rel,
+            )
+        except SolverError:
+            if not row.rescue:
+                raise
+            continue
+        if not row.rescue or trace.terminated_by != "divergence":
+            status = {"converged": "ok", "divergence": "failed"}.get(trace.terminated_by, trace.terminated_by)
+            if damping_rel != _DAMPING_LADDER[0]:
+                status += f"(damping_rel={damping_rel:g})"
+            return trace, hyper, status
+    return None, {}, "failed"
+
+
+def run_grid(config: ExperimentConfig, base: Baseline, rows) -> tuple[RaceRun, ...]:
+    """Run every row the same way: build its modified problem from the
+    baseline data, fit it through ``run_solver`` and score its recorded
+    iterates through the unmodified objective.  The other ``[solver]``
+    settings apply to all rows alike."""
+    runs = []
+    for row in rows:
+        problem = base.problem
+        if row.scheme != "none":
+            problem = build_problem(config, base.model, base.data, row.scheme, row.potp)
+        trace, hyper, status = _fit(config, row, problem, len(base.data))
+        scores = np.empty(0) if trace is None else _score(base.problem, base.theta_hat, trace.thetas)
+        runs.append(RaceRun(row.label, row.solver, row.scheme, row.potp, trace, scores, hyper, status))
+    return tuple(runs)
+
+
+def write_lines(config: ExperimentConfig, name: str, lines) -> Path:
+    """Write ``lines`` to ``<output_dir>/<model>_<name>``; returns the path."""
+    path = Path(config.output_dir) / f"{config.model}_{name}"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return path
 
 
 def write_run(config: ExperimentConfig, run: RaceRun) -> Path:
     """Write a run's ``time,error`` trace CSV and its ``key = value``
     ``.meta`` sidecar to the output directory; returns the CSV path."""
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{config.model}_{run.label}.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("time,error\n")
-        for t, e in zip(run.times, run.errors):
-            fh.write(f"{t:.17g},{e:.17g}\n")
-    lines = {
+    records = zip(run.trace.wall_clock[np.isfinite(run.scores)], run.errors)
+    lines = ["time,error"] + [f"{t:.17g},{e:.17g}" for t, e in records]
+    csv_path = write_lines(config, f"{run.label}.csv", lines)
+    meta = {
         "model": config.model,
         "solver": run.solver,
         "scheme": run.scheme,
@@ -702,13 +614,97 @@ def write_run(config: ExperimentConfig, run: RaceRun) -> Path:
         "terminated_by": run.trace.terminated_by,
         "iterations": run.trace.n_iterations,
         "records": len(run.trace),
-        "dropped_records": run.dropped_records,
+        "dropped_records": len(run.trace) - len(run.errors),
         "final_error": run.final_error,
     }
-    with open(out_dir / f"{config.model}_{run.label}.meta", "w") as fh:
-        for key, value in lines.items():
-            fh.write(f"{key} = {value}\n")
+    write_lines(config, f"{run.label}.meta", [f"{key} = {value}" for key, value in meta.items()])
     return csv_path
+
+
+# ---------------------------------------------------------------------------
+# The relative-error study and the budget race: row lists plus their writers
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StudyRow:
+    scheme: str
+    potp: float
+    relative_error: float
+    status: str  # the fit's RaceRun.status
+
+
+@dataclass(frozen=True)
+class RelativeErrorReport:
+    rows: tuple[StudyRow, ...]
+    reference_objective: float
+
+
+def run_table1_study(config: ExperimentConfig, write_csv: bool = True) -> RelativeErrorReport:
+    """Fit all six schemes at each target fraction and report relative errors.
+
+    Every fit is a rescue row of Gauss-Newton from the reference augmented
+    state; the scheme "none" row is the reference fit itself (error exactly
+    zero).  Fits that never produce a finite estimate are reported as
+    infinite relative error and flagged.
+    """
+    base = prepare_baseline(config)
+    grid = [
+        # the study scores only the final iterate, so it records no others
+        GridRow(f"gn_{kind}_{potp:g}", "gn", kind, potp, base.model.theta_ref(), 0.0,
+                config.table1_max_iter, config.table1_gtol, config.table1_max_iter, rescue=True)
+        for kind in SCHEME_KINDS
+        for potp in config.table1_potps
+    ]
+    none_error = _score(base.problem, base.theta_hat, base.theta_hat[None])[0]
+    rows = [StudyRow("none", 1.0, float(none_error), "ok")]
+    for run in run_grid(config, base, grid):
+        error = run.scores[-1] if run.trace is not None else np.nan
+        error = float(error) if np.isfinite(error) else np.inf
+        rows.append(StudyRow(run.scheme, run.potp, error, run.status))
+
+    report = RelativeErrorReport(rows=tuple(rows), reference_objective=base.g_ref)
+    if write_csv:
+        lines = [f"{row.scheme},{row.potp:.17g},{row.relative_error:.17g}" for row in report.rows]
+        write_lines(config, "relative_error.csv", ["scheme,potp,relative_error"] + lines)
+    return report
+
+
+@dataclass(frozen=True)
+class RaceResult:
+    model: str
+    reference_objective: float
+    theta_ref_hat: Array
+    theta0: Array
+    runs: tuple[RaceRun, ...]
+
+    def run(self, label: str) -> RaceRun:
+        for r in self.runs:
+            if r.label == label:
+                return r
+        raise KeyError(label)
+
+
+def run_budget_race(config: ExperimentConfig, write_csv: bool = True) -> RaceResult:
+    """Race all solver/scheme combinations under the shared budget: GD on
+    the full and every modified problem, then SGD; GN likewise, then kSGD.
+
+    Modified problems are built at the race's target fraction; SGD and kSGD
+    draw with the ``[solver]`` sampler at the stride ``run_solver`` picks.
+    """
+    base = prepare_baseline(config)
+    rows = []
+    for full, sampled in (("gd", "sgd"), ("gn", "ksgd")):
+        runs = [(f"{full}_{kind}", full, kind) for kind in ("none",) + SCHEME_KINDS]
+        for label, solver, scheme in runs + [(f"{sampled}_{config.solver_sampler}", sampled, "none")]:
+            every = 1 if label == f"{full}_none" else config.race_record_every
+            rows.append(GridRow(label, solver, scheme, config.race_potp, base.theta0, config.race_budget,
+                                config.race_max_iter, config.solver_gtol, every))
+    runs = run_grid(config, base, rows)
+    if write_csv:
+        for run in runs:
+            write_run(config, run)
+    return RaceResult(config.model, base.g_ref, base.theta_hat, base.theta0, runs)
 
 
 # ---------------------------------------------------------------------------

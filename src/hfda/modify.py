@@ -7,8 +7,9 @@ All six schemes map an observation set to a smaller or displaced one:
   on shared times).
 * ``average_upper`` / ``average_nearest`` replace each group with one
   superobservation at the target time whose value is the group mean; the
-  emitted weight records the member count (``harness.build_problem`` resets
-  it to one, so the loss treats the mean as an ordinary observation).
+  emitted weight records the member count (``harness.modify_data`` resets
+  it to one, so every fit and ``hfda modify`` treat the mean as an ordinary
+  observation).
 * ``simple_random_sample`` / ``systematic_random_sample`` keep a subset of
   the observations unchanged, drawn by ``stochastic.draw_simple`` /
   ``draw_systematic`` (the draws the stochastic solvers use).

@@ -326,12 +326,13 @@ def objective_many(model: ModelSpec, thetas: Array, data: ObservationSet, grid: 
 
     One pass over the grid serves all K evaluations and allocates only the
     (N, K) loss terms; non-finite trajectories yield NaN entries instead of
-    raising.
+    raising.  Each column is summed on its own, in the order ``objective``
+    sums its terms, so every row is bitwise equal to ``objective`` whatever K.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     terms = integrate_loss_terms(model, thetas, grid, data)
     with np.errstate(all="ignore"):
-        vals = np.sum(terms, axis=0)
+        vals = np.array([np.sum(terms[:, k]) for k in range(terms.shape[1])])
     return np.where(np.isfinite(vals), vals, np.nan)
 
 

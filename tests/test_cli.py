@@ -130,6 +130,18 @@ def test_modify_subcommand_row_count(tmp_path):
     assert len(rows) == 1 + 100  # header + 10% of the 1000 observations
 
 
+def test_modify_writes_the_weights_every_fit_applies(tmp_path):
+    # averaging emits member counts; the written data carry the unit weights
+    # the loss uses
+    path = write_config(tmp_path, SMALL_FN)
+    out = tmp_path / "mod"
+    argv = ["modify", "--config", str(path), "--output-dir", str(out)]
+    assert main(argv + ["--modify", "average_upper", "--potp", "0.1"]) == 0
+    lines = (out / "fitzhugh_nagumo_average_upper_observations.csv").read_text().splitlines()
+    assert lines[0].endswith(",weight") and len(lines) == 1 + 100
+    assert {float(line.rsplit(",", 1)[1]) for line in lines[1:]} == {1.0}
+
+
 def test_check_subcommand_reports_and_passes(tmp_path, capsys):
     path = write_config(tmp_path, SMALL_FN)
     assert main(["check", "--config", str(path)]) == 0
@@ -432,6 +444,52 @@ gtol = 1e-2
         assert solved[name][0].n_iterations == 3  # a stride-5 coarse step is stable
         assert np.array_equal(solved[name][0].final_theta, raced[name][0].final_theta)
         assert solved[name][1] == raced[name][1]
+
+
+def test_solve_ends_where_a_study_row_configured_alike_ends(tmp_path, monkeypatch):
+    """gn from the reference state with the study's scheme, fraction, caps
+    and tolerance reaches the study row's theta and error bits."""
+    fits = []
+    original = harness.run_solver
+
+    def recording(*args, **kwargs):
+        trace, hyper = original(*args, **kwargs)
+        fits.append(trace)
+        return trace, hyper
+
+    monkeypatch.setattr(harness, "run_solver", recording)
+    monkeypatch.setattr(harness, "SCHEME_KINDS", ("average_upper",))
+    path = write_config(
+        tmp_path,
+        SMALL_FN
+        + """
+[modify]
+scheme = average_upper
+potp = 0.1
+
+[solver]
+name = gn
+theta0 = reference
+budget = 0
+max_iter = 8
+gtol = 1e-6
+
+[table1]
+potps = 0.1
+max_iter = 8
+gtol = 1e-6
+""",
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--output-dir", str(out)]) == 0
+    meta = (out / "fitzhugh_nagumo_gn_average_upper.meta").read_text()
+    final_error = float(re.search(r"^final_error = (.*)$", meta, flags=re.M).group(1))
+    config = parse_config(path, [f"experiment.output_dir={out}"])
+    none, row = harness.run_table1_study(config, write_csv=False).rows
+    solved, studied = fits
+    assert row.status in ("ok", "max_iter")  # no rung above the first
+    assert np.array_equal(solved.final_theta, studied.final_theta)
+    assert row.relative_error == final_error
 
 
 def test_bad_config_exit_code(tmp_path):

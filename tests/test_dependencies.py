@@ -141,3 +141,35 @@ def test_every_config_setting_is_read():
     package = Path(hfda.__file__).resolve().parent
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     assert _unread_fields(sources, "ExperimentConfig") == []
+
+
+SOLVERS = {"run_gd", "run_gauss_newton", "run_sgd", "run_ksgd"}
+
+
+def _solver_callers(source: str) -> set[str]:
+    """Top-level functions of ``source`` that call a solver, by its name or
+    as a module attribute."""
+    return {
+        stmt.name
+        for stmt in ast.parse(source).body
+        if isinstance(stmt, ast.FunctionDef)
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in SOLVERS
+    }
+
+
+def test_solver_callers_are_found():
+    source = (
+        "def a():\n    return run_gd(p)\n"
+        "def b():\n    def c():\n        optimize.run_ksgd(p)\n"
+        "def d():\n    return run_gd, run_other(p)\n"
+    )
+    assert _solver_callers(source) == {"a", "b"}
+
+
+def test_harness_runs_solvers_through_run_solver_alone():
+    """One solver factory: apart from the reference fit, every harness run
+    (study, race and solve) reaches a solver through ``run_solver``."""
+    source = (Path(hfda.__file__).resolve().parent / "harness.py").read_text()
+    assert _solver_callers(source) == {"run_solver", "reference_minimizer"}

@@ -240,12 +240,11 @@ def test_objective_matches_per_term_sum(fn_small):
 
 
 def test_objective_many_matches_scalar_objective(fn_small):
-    # identical trajectories; only the final reduction tree differs (ulps)
     model, data, problem = fn_small
     thetas = np.array([model.theta_ref(), model.theta_ref() * 1.02, model.theta_ref() * 0.97])
     batch = problem.objective_many(thetas)
     singles = np.array([problem.objective(t) for t in thetas])
-    assert np.allclose(batch, singles, rtol=1e-13, atol=0)
+    assert np.array_equal(batch, singles)
 
 
 def test_objective_nonnegative(fn_small):
@@ -348,7 +347,7 @@ def test_objective_many_masks_a_diverging_row(sweep_paths):
         values = objective_many(model, np.array([diverging, finite]), data, grid)
         assert np.isnan(values[0]) and np.isfinite(values[1]), path
         assert np.isnan(objective_many(model, diverging[None], data, grid)[0]), path
-        assert np.isclose(values[1], objective(model, finite, data, grid), rtol=1e-13, atol=0), path
+        assert values[1] == objective(model, finite, data, grid), path
 
 
 def test_a_batch_divides_by_zero_as_ieee_arithmetic_does(sweep_paths):
@@ -479,16 +478,17 @@ def test_loss_terms_reject_an_operator_of_the_wrong_width():
 
 
 # sha256 of ``objective_many`` at the seed-1234 data of each shipped config,
-# at K rows theta_ref * (1 + 0.05 z) with z drawn by default_rng(1234),
-# captured while the terms were still computed from the whole batched
-# trajectory with matrix products
+# at K rows theta_ref * (1 + 0.05 z) with z drawn by default_rng(1234).  The
+# K=1 entries were captured while the terms were still computed from the
+# whole batched trajectory with matrix products; the K=52 entries since each
+# column is summed on its own, as ``objective`` sums its terms
 SEED_1234_OBJECTIVE_MANY_SHA256 = {
     ("fitzhugh_nagumo", 1): "2cd6642a36218222710c01792df09d8760b59af88f2891cc52541387a079c5e5",
-    ("fitzhugh_nagumo", 52): "bc6421b358e99b1d70d8bc3881cd104ffcbc1f0000f9b824d2f11b97d72959ac",
+    ("fitzhugh_nagumo", 52): "2eb694a2af1ac2b8a9e77b92e8037898fc612d4d3e791a72f2dfc7d0c7adca5c",
     ("lotka_volterra", 1): "f16ff660989116d55987d68e2ced7280ea842c2b01286721c66f79801f3feb48",
-    ("lotka_volterra", 52): "4452d9314cd607556d6d5238e4b9c1ff65808d64a2bdaa713af80f479efe61a1",
+    ("lotka_volterra", 52): "8ffe95c0cbba4749c192ad5158254f40892fc928f0c422fd8efa2d533615e3ef",
     ("van_der_pol", 1): "8b5431cd1a0512d215d707a744ff8c5e828ded4d368619ebbe64c1b91fe4e89f",
-    ("van_der_pol", 52): "2490c54fbc62322b1d6759167886c9ba4004300218de1bf4097629ee8c593b6f",
+    ("van_der_pol", 52): "441194b9d77800b536ce835e13ab05142fe69aa274c9bddbdb12314e9534ec42",
 }
 
 
@@ -509,6 +509,17 @@ def test_objective_many_is_bitwise_unchanged(name, sweep_paths):
             assert digest == SEED_1234_OBJECTIVE_MANY_SHA256[name, k], (path, k)
         theta = model.theta_ref()
         assert problem.gradient(theta).value == problem.objective(theta), path
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_every_row_of_objective_many_is_objective(name, sweep_paths):
+    model, problem = _seed_1234_problem(name)
+    for path in sweep_paths:
+        for k in (1, 2, 52):
+            z = np.random.default_rng(k).standard_normal((k, model.q))
+            thetas = model.theta_ref() * (1.0 + 0.05 * z)
+            singles = np.array([problem.objective(theta) for theta in thetas])
+            assert np.array_equal(problem.objective_many(thetas), singles), (path, k)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
