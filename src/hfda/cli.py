@@ -15,7 +15,8 @@ The config file is a sectioned ``key = value`` text file whose keys and
 converters are declared on the ``ExperimentConfig`` fields; unknown sections
 or keys are rejected.  Every random draw is controlled by config-declared
 seeds, so all subcommands are idempotent given the same configuration and
-output directory.
+output directory.  Every output file is ``<output_dir>/<model>_<name>``,
+written by ``harness.write_lines``; this module builds no output path.
 """
 from __future__ import annotations
 
@@ -89,12 +90,6 @@ def parse_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _out_dir(config: ExperimentConfig) -> Path:
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_observation_metadata(config: ExperimentConfig, data) -> None:
     obs = data.model
     lines = {
@@ -113,9 +108,7 @@ def _write_observation_metadata(config: ExperimentConfig, data) -> None:
 def cmd_simulate(config: ExperimentConfig) -> int:
     """Simulate the observation record and write it as CSV."""
     model, data = harness.build_data(config)
-    out = _out_dir(config)
-    csv_path = out / f"{config.model}_observations.csv"
-    observe.write_observations_csv(data, csv_path)
+    csv_path = harness.write_lines(config, "observations.csv", observe.observations_csv_lines(data))
     _write_observation_metadata(config, data)
     print(f"simulate: {len(data)} observations of {model.name} -> {csv_path}")
     return 0
@@ -127,9 +120,8 @@ def cmd_modify(config: ExperimentConfig) -> int:
         raise ConfigError("modify requires [modify] scheme (or --modify)")
     model, data = harness.build_data(config)
     modified = harness.modify_data(config, model, data, config.modify_scheme, config.modify_potp)
-    out = _out_dir(config)
-    csv_path = out / f"{config.model}_{config.modify_scheme}_observations.csv"
-    observe.write_observations_csv(modified, csv_path)
+    name = f"{config.modify_scheme}_observations.csv"
+    csv_path = harness.write_lines(config, name, observe.observations_csv_lines(modified))
     print(
         f"modify: {config.modify_scheme} potp={config.modify_potp:g} kept "
         f"{len(modified)} of {len(data)} rows -> {csv_path}"
@@ -177,8 +169,7 @@ def cmd_table1(config: ExperimentConfig) -> int:
     print(f"{'scheme':<20} {'potp':>6} {'relative_error':>16}")
     for row in report.rows:
         print(f"{row.scheme:<20} {row.potp:>6g} {row.relative_error:>16.6e} {row.status}")
-    out = Path(config.output_dir) / f"{config.model}_relative_error.csv"
-    print(f"table1: wrote {out}")
+    print(f"table1: wrote the study CSV under {config.output_dir}")
     # rows that stopped at max_iter or were rescued by a larger damping
     # ("ok(damping_rel=...)") still produced a fit; only "failed" did not
     return 1 if any(r.status == "failed" for r in report.rows) else 0

@@ -347,7 +347,6 @@ def _reference_key(config: ExperimentConfig) -> str:
         "period": config.obs_period,
         "sigma": config.obs_sigma,
         "obs_seed": config.stream("observation", config.obs_seed),
-        "mode": config.mode,
         "ref_max_iter": config.ref_max_iter,
         "ref_gtol": config.ref_gtol,
     }
@@ -358,10 +357,10 @@ def _reference_key(config: ExperimentConfig) -> str:
 def reference_minimizer(
     config: ExperimentConfig, problem: Problem, cache_dir: Path | None = None
 ) -> tuple[Array, float]:
-    """Fit the unmodified problem once (GN from the reference state) and
-    cache (theta_hat, G(theta_hat)) under the configuration hash.  Only a
-    fit that ended ``converged`` is cached; any other fit is returned and
-    refit on the next call."""
+    """Fit the unmodified problem once (``run_solver``'s Gauss-Newton from
+    the reference state) and cache (theta_hat, G(theta_hat)) under the
+    configuration hash.  Only a fit that ended ``converged`` is cached; any
+    other fit is returned and refit on the next call."""
     key = _reference_key(config)
     cache_path = None
     if cache_dir is not None:
@@ -370,12 +369,9 @@ def reference_minimizer(
             payload = json.loads(cache_path.read_text())
             return np.asarray(payload["theta"]), float(payload["objective"])
 
-    trace = run_gauss_newton(
-        problem,
-        problem.model.theta_ref(),
-        damping=None,
-        max_iter=config.ref_max_iter,
-        gtol=config.ref_gtol,
+    trace, _ = run_solver(
+        config, "gn", problem, problem.model.theta_ref(), n_full=len(problem.data), budget=0.0,
+        max_iter=config.ref_max_iter, record_every=1, gtol=config.ref_gtol,
     )
     theta_hat = trace.final_theta
     g_ref = float(problem.objective_many(theta_hat[None])[0])
@@ -672,10 +668,6 @@ def run_table1_study(config: ExperimentConfig, write_csv: bool = True) -> Relati
 
 @dataclass(frozen=True)
 class RaceResult:
-    model: str
-    reference_objective: float
-    theta_ref_hat: Array
-    theta0: Array
     runs: tuple[RaceRun, ...]
 
     def run(self, label: str) -> RaceRun:
@@ -704,7 +696,7 @@ def run_budget_race(config: ExperimentConfig, write_csv: bool = True) -> RaceRes
     if write_csv:
         for run in runs:
             write_run(config, run)
-    return RaceResult(config.model, base.g_ref, base.theta_hat, base.theta0, runs)
+    return RaceResult(runs)
 
 
 # ---------------------------------------------------------------------------

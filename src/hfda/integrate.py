@@ -1,8 +1,10 @@
 """Fixed-step Ralston fourth-order Runge-Kutta integration.
 
-There are three Python step loops.  The generic one, ``integrate``, advances
-any system over a ``TimeGrid`` and is the reference oracle for the model
-path; ``integrate_with_sensitivity`` is ``integrate`` on the variational
+There are three Python step loops, and each forward step is ``_stages``,
+the tableau arithmetic on a list of components.  The generic loop,
+``integrate``, advances any system over a ``TimeGrid`` as one array
+component and is the reference oracle for the model path;
+``integrate_with_sensitivity`` is ``integrate`` on the variational
 system, whose Jacobian is evaluated at the Runge-Kutta stage states, which
 makes the propagated matrix the exact derivative of the discrete flow map.
 
@@ -213,7 +215,11 @@ def integrate(system, z0: Array, grid: TimeGrid) -> Trajectory:
     aborts with ``DivergenceError`` at the first non-finite state.
     """
     global _step_count
-    rhs = _rhs_of(system)
+    system_rhs = _rhs_of(system)
+
+    def rhs(t, x, params):  # the whole array is the one component of _stages
+        return (system_rhs(t, x[0]),)
+
     z = np.asarray(z0, dtype=float)
     if not np.all(np.isfinite(z)):
         raise DivergenceError(0, grid.t0)
@@ -223,11 +229,7 @@ def integrate(system, z0: Array, grid: TimeGrid) -> Trajectory:
     with np.errstate(all="ignore"):
         for j in range(len(nodes) - 1):
             t, h = nodes[j], nodes[j + 1] - nodes[j]
-            k1 = rhs(t, z)
-            k2 = rhs(t + C2 * h, z + (h * A21) * k1)
-            k3 = rhs(t + C3 * h, z + h * (A31 * k1 + A32 * k2))
-            k4 = rhs(t + h, z + h * (A41 * k1 + A42 * k2 + A43 * k3))
-            z = z + h * (B1 * k1 + B2 * k2 + B3 * k3 + B4 * k4)
+            _, (z,) = _stages(rhs, t, h, [z], ())
             _step_count += 1
             if not np.all(np.isfinite(z)):
                 raise DivergenceError(j + 1, float(nodes[j + 1]))
@@ -263,8 +265,9 @@ def integrate_with_sensitivity(
 def _stages(rhs, t: float, h: float, x: list, params: list, advance: bool = True):
     """The stage states [x, x2, x3, x4] of one Ralston step from x and, with
     ``advance``, the state at the end of the step (else None, and the last
-    slope is never evaluated).  Component lists of floats or same-shape
-    arrays, in the operation order of ``integrate``."""
+    slope is never evaluated).  Component lists of floats or of arrays;
+    every Ralston step of this module, compiled ones included, is this
+    arithmetic."""
     k1 = rhs(t, x, params)
     a21 = h * A21
     x2 = [xi + a21 * a for xi, a in zip(x, k1)]

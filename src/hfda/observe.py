@@ -11,6 +11,9 @@ condition is available two ways: by propagating the forward sensitivity
 matrix to every observation node, or by a single backward adjoint sweep with
 the per-observation loss gradients injected as impulses.  Both are exact
 derivatives of the discrete objective.
+
+``observations_csv_lines`` formats a record as CSV lines; this module opens
+no file, and the package reads no CSV back.
 """
 from __future__ import annotations
 
@@ -378,22 +381,8 @@ def gradient(
     return GradientEvaluation(value=value, grad=grad)
 
 
-def write_observations_csv(data: ObservationSet, path) -> None:
-    """Write `t,y1,...,yn,weight` rows with round-trip-exact floats."""
-    n = data.model.n
-    header = "t," + ",".join(f"y{j + 1}" for j in range(n)) + ",weight"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i in range(len(data)):
-            row = [data.times[i], *data.values[i], data.weights[i]]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def read_observations_csv(path, obs_model: ObservationModel) -> ObservationSet:
-    """Read a file written by ``write_observations_csv``."""
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if raw.shape[1] != obs_model.n + 2:
-        raise ValueError("observation CSV width does not match the observation model")
-    return ObservationSet(
-        times=raw[:, 0], values=raw[:, 1 : 1 + obs_model.n], model=obs_model, weights=raw[:, -1]
-    )
+def observations_csv_lines(data: ObservationSet) -> list[str]:
+    """The `t,y1,...,yn,weight` header and rows, floats round-trip exact."""
+    header = "t," + ",".join(f"y{j + 1}" for j in range(data.model.n)) + ",weight"
+    rows = np.column_stack([data.times, data.values, data.weights]).tolist()
+    return [header] + [",".join(f"{v:.17g}" for v in row) for row in rows]

@@ -11,7 +11,9 @@ step grid.
 
 ``residual_system`` assembles the stacked residual vector, its Jacobian
 with respect to the augmented initial condition, and the block-diagonal
-inverse weight matrix used by the Gauss-Newton-type updates.
+inverse weight matrix used by the Gauss-Newton-type updates.  It and
+``stochastic_gradient`` both fit the sampled observations as
+``ObservationSet.subset`` returns them with weights scaled by 1/pi.
 """
 from __future__ import annotations
 
@@ -193,21 +195,21 @@ def residual_system(
     sample: SampleSet,
     grid: TimeGrid,
 ) -> ResidualSystem:
-    """Assemble the residual system at theta for the sampled observations."""
-    obs = data.model
-    idx = sample.indices
-    node_idx = grid.node_index(data.times[idx])
+    """Assemble the residual system at theta for the sampled observations,
+    weighted as in ``stochastic_gradient``."""
+    sub = data.subset(sample.indices, weight_scale=1.0 / sample.pi)
+    obs = sub.model
+    node_idx = grid.node_index(sub.times)
 
     states, request, sens_top = integrate_augmented_sensitivity(
         model, np.asarray(theta, dtype=float), grid, node_idx
     )
     x_obs = states[node_idx]
-    r = (data.values[idx] - x_obs @ obs.h_matrix.T).reshape(-1)
+    r = (sub.values - x_obs @ obs.h_matrix.T).reshape(-1)
 
     # rows of H x_theta restricted to the physical block, per sampled time
     hx = obs.h_matrix @ sens_top[np.searchsorted(request, node_idx)]  # (m, n, q)
     d_matrix = hx.reshape(-1, model.q)
 
-    scale = data.weights[idx] / sample.pi  # per-block multiplier on V^-1
-    w_inv_blocks = scale[:, None, None] * obs.v_inv
+    w_inv_blocks = sub.weights[:, None, None] * obs.v_inv  # per-block multiplier on V^-1
     return ResidualSystem(r=r, d_matrix=d_matrix, w_inv_blocks=w_inv_blocks)

@@ -92,8 +92,12 @@ def test_parse_requires_model(tmp_path):
 
 @pytest.mark.parametrize("name", ["fitzhugh_nagumo", "lotka_volterra", "van_der_pol"])
 def test_committed_configs_parse(name):
+    # a shipped config spells out the defaults and picks a solver; a set eta0
+    # or kappa would override the tuned step and the derived stride
     cfg = parse_config(REPO_CONFIGS / f"{name}.ini")
-    assert cfg.model == name
+    defaults = harness.ExperimentConfig(model=name, seed=1234, output_dir=f"runs/{name}")
+    fields = [f.name for f in dataclasses.fields(cfg)]
+    assert [f for f in fields if getattr(cfg, f) != getattr(defaults, f)] == ["solver_name"]
 
 
 def test_simulate_is_idempotent(tmp_path, capsys):
@@ -486,7 +490,7 @@ gtol = 1e-6
     final_error = float(re.search(r"^final_error = (.*)$", meta, flags=re.M).group(1))
     config = parse_config(path, [f"experiment.output_dir={out}"])
     none, row = harness.run_table1_study(config, write_csv=False).rows
-    solved, studied = fits
+    _, solved, studied = fits  # the first is the reference fit, which the study reads cached
     assert row.status in ("ok", "max_iter")  # no rung above the first
     assert np.array_equal(solved.final_theta, studied.final_theta)
     assert row.relative_error == final_error

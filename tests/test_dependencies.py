@@ -169,7 +169,49 @@ def test_solver_callers_are_found():
 
 
 def test_harness_runs_solvers_through_run_solver_alone():
-    """One solver factory: apart from the reference fit, every harness run
-    (study, race and solve) reaches a solver through ``run_solver``."""
+    """One solver factory: every harness fit (reference, study, race and
+    solve) reaches a solver through ``run_solver``."""
     source = (Path(hfda.__file__).resolve().parent / "harness.py").read_text()
-    assert _solver_callers(source) == {"run_solver", "reference_minimizer"}
+    assert _solver_callers(source) == {"run_solver"}
+
+
+def _file_writers(source: str) -> set[str]:
+    """Top-level functions of ``source`` that call ``.write_text``,
+    ``.write_bytes`` or ``open`` with a mode (reads take the default)."""
+
+    def writes(call: ast.Call) -> bool:
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if name == "open":
+            return len(call.args) > 1 or any(k.arg == "mode" for k in call.keywords)
+        return name in ("write_text", "write_bytes")
+
+    return {
+        stmt.name
+        for stmt in ast.parse(source).body
+        if isinstance(stmt, ast.FunctionDef)
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and writes(node)
+    }
+
+
+def test_file_writers_are_found():
+    source = (
+        "def a(p):\n    open(p, 'w').write('x')\n"
+        "def b(p):\n    p.write_bytes(b'')\n"
+        "def c(p):\n    return open(p), p.read_text()\n"
+        "def d(p, m):\n    open(p, mode=m)\n"
+    )
+    assert _file_writers(source) == {"a", "b", "d"}
+
+
+def test_output_files_are_written_by_write_lines_alone():
+    """One writer: every output file goes through ``harness.write_lines``.
+    The other writers are the reference cache and the kernel's C source,
+    which goes to a temporary build directory."""
+    package = Path(hfda.__file__).resolve().parent
+    writers = {
+        f"{path.stem}.{name}"
+        for path in sorted(package.glob("*.py"))
+        for name in _file_writers(path.read_text())
+    }
+    assert writers == {"harness.write_lines", "harness.reference_minimizer", "kernel._compile"}

@@ -196,6 +196,21 @@ def test_reference_cache_holds_converged_fits_only(small_config, tmp_path):
     assert 1 <= payload["iterations"] <= small_config.ref_max_iter
 
 
+def test_both_derivative_modes_read_one_reference_cache(small_config, tmp_path, monkeypatch):
+    # Gauss-Newton always takes the forward tangent, so the mode does not change the fit
+    model, data = build_data(small_config)
+    problem = build_problem(small_config, model, data)
+    theta_hat, g_ref = reference_minimizer(small_config, problem, cache_dir=tmp_path)
+
+    def refit(*args, **kwargs):
+        raise AssertionError("the reference was fitted again")
+
+    monkeypatch.setattr(harness, "run_gauss_newton", refit)
+    adjoint = dataclasses.replace(small_config, mode="adjoint")
+    cached = reference_minimizer(adjoint, build_problem(adjoint, model, data), cache_dir=tmp_path)
+    assert np.array_equal(cached[0], theta_hat) and cached[1] == g_ref
+
+
 def test_study_status_says_whether_a_fit_converged(small_config, monkeypatch):
     base = harness.prepare_baseline(small_config)
 

@@ -475,6 +475,35 @@ def test_model_calls_per_step(monkeypatch):
         assert (counts["rhs"], counts["jac"]) == (rhs_per_step * n, jac_per_step * n), name
 
 
+def test_every_python_forward_step_is_one_stages_call(monkeypatch):
+    # one copy of the tableau: the generic loop and _sweep both step through _stages
+    integrate_module = importlib.import_module("hfda.integrate")
+    monkeypatch.setattr(kernel, "sweeps", lambda model: None)
+    calls = Counter()
+    stages = integrate_module._stages
+
+    def counted(*args, **kwargs):
+        calls["stages"] += 1
+        return stages(*args, **kwargs)
+
+    monkeypatch.setattr(integrate_module, "_stages", counted)
+    model = fitzhugh_nagumo()
+    system = augment(model)
+    grid = build_grid((0.0, 5.0), 0.25, np.empty(0))
+    n = grid.n_steps
+    theta = model.theta_ref()
+    runs = {
+        "integrate": lambda: integrate(system, theta, grid),
+        "integrate_with_sensitivity": lambda: integrate_with_sensitivity(system, theta, grid, [n]),
+        "state": lambda: integrate_augmented(model, theta, grid),
+        "sensitivity": lambda: integrate_augmented_sensitivity(model, theta, grid, [n]),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert calls["stages"] == n, name
+
+
 def test_compiled_sweeps_call_the_model_only_while_tracing():
     if kernel.sweeps(fitzhugh_nagumo()) is None:
         pytest.skip("no compiled kernel on this platform")

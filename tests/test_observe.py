@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hfda.dynamics import MODEL_NAMES, fitzhugh_nagumo, get_model
-from hfda.harness import ExperimentConfig, build_data, build_problem
+from hfda.harness import ExperimentConfig, build_data, build_problem, write_lines
 from hfda import kernel
 from hfda.integrate import (
     DivergenceError,
@@ -33,9 +33,8 @@ from hfda.observe import (
     ndtri,
     objective,
     objective_many,
-    read_observations_csv,
+    observations_csv_lines,
     simulate_observations,
-    write_observations_csv,
 )
 from hfda.optimize import Problem
 
@@ -167,10 +166,10 @@ def test_golden_observations_regenerate():
     model = dataclasses.replace(fitzhugh_nagumo(), t_span=(0.0, 2.0))
     obs_model = identity_observation(2, 0.1)
     data = simulate_observations(model, model.params_ref, obs_model, 0.05, seed=2024)
-    golden = read_observations_csv(GOLDEN, obs_model)
+    golden = np.loadtxt(GOLDEN, delimiter=",", skiprows=1, ndmin=2)  # t,y1,y2,weight
     assert len(golden) == len(data) == 40
-    assert np.allclose(data.times, golden.times, rtol=0, atol=0)
-    assert np.allclose(data.values, golden.values, rtol=1e-12, atol=1e-14)
+    assert np.allclose(data.times, golden[:, 0], rtol=0, atol=0)
+    assert np.allclose(data.values, golden[:, 1:3], rtol=1e-12, atol=1e-14)
 
 
 def test_ndtri_is_bitwise_scipy():
@@ -548,14 +547,13 @@ def test_objective_many_allocates_only_the_loss_terms():
 
 def test_csv_round_trip_and_idempotence(fn_small, tmp_path):
     _, data, _ = fn_small
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_observations_csv(data, p1)
-    write_observations_csv(data, p2)
+    configs = [ExperimentConfig(model="fitzhugh_nagumo", output_dir=str(tmp_path / run)) for run in "ab"]
+    p1, p2 = (write_lines(config, "observations.csv", observations_csv_lines(data)) for config in configs)
     assert p1.read_bytes() == p2.read_bytes()
-    back = read_observations_csv(p1, data.model)
-    assert np.array_equal(back.times, data.times)
-    assert np.array_equal(back.values, data.values)
-    assert np.array_equal(back.weights, data.weights)
+    back = np.loadtxt(p1, delimiter=",", skiprows=1, ndmin=2)  # t,y1,y2,weight
+    assert np.array_equal(back[:, 0], data.times)
+    assert np.array_equal(back[:, 1:3], data.values)
+    assert np.array_equal(back[:, 3], data.weights)
 
 
 def test_observation_set_validation():
