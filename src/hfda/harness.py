@@ -233,9 +233,17 @@ class ExperimentConfig:
                 object.__setattr__(self, attr, defaults[key])
         model = get_model(self.model)
         # fail before the reference fit, naming the keys
-        if observation_times(model.t_span, self.obs_period).size == 0:
+        n_obs = observation_times(model.t_span, self.obs_period).size
+        if n_obs == 0:
             span = f"{model.t_span[0]:g} to {model.t_span[1]:g}"
             raise ValueError(f"[observation] period {self.obs_period:g} exceeds the span {span}")
+        potp = self.modify_potp
+        if (self.modify_scheme == "simple_random" and round_half_away(potp * n_obs) < 1) or (
+            self.modify_scheme == "systematic_random" and round_half_away(1.0 / potp) > n_obs
+        ):
+            raise ValueError(
+                f"[modify] potp {potp:g} leaves {self.modify_scheme} no observation of {n_obs}"
+            )
         for section in ("solver", "race"):
             if getattr(self, f"{section}_budget") <= 0 and getattr(self, f"{section}_max_iter") <= 0:
                 raise ValueError(f"[{section}] budget or [{section}] max_iter must be positive")

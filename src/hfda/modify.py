@@ -46,10 +46,15 @@ def default_predetermined(
     t_span: tuple[float, float], obs_period: float, potp: float
 ) -> Array:
     """Target times spaced so that a fraction ``potp`` of the original
-    observation times survives: multiples of obs_period / potp."""
+    observation times survives: multiples of obs_period / potp, ended by
+    t_end when the last multiple falls short of it, so every observation
+    has a target."""
     if not 0.0 < potp <= 1.0:
         raise ValueError("potp must lie in (0, 1]")
-    return observation_times(t_span, obs_period / potp)
+    times = observation_times(t_span, obs_period / potp)
+    if times.size == 0 or times[-1] < t_span[1]:
+        times = np.append(times, t_span[1])
+    return times
 
 
 def _check_predetermined(data: ObservationSet, predetermined: Array) -> Array:

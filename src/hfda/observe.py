@@ -235,9 +235,8 @@ class ObservationSet:
 
 @dataclass(frozen=True)
 class GradientEvaluation:
-    """Objective value and gradient over the included loss terms."""
+    """Gradient of the objective over the included loss terms."""
 
-    value: float
     grad: Array
 
 
@@ -354,7 +353,7 @@ def gradient(
     grid: TimeGrid,
     mode: str = "forward",
 ) -> GradientEvaluation:
-    """Objective value and its gradient with respect to theta.
+    """Gradient of the objective with respect to theta.
 
     mode "forward" contracts every observation's loss gradient with the
     propagated sensitivity of the physical state; mode "adjoint" injects the
@@ -376,9 +375,7 @@ def gradient(
         grad = np.einsum("riq,ri->q", sens_top, impulses[request])
     else:
         grad = integrate_adjoint(model, theta, grid, states, impulses)
-
-    value = float(np.sum(_loss_values(data, x_obs)))
-    return GradientEvaluation(value=value, grad=grad)
+    return GradientEvaluation(grad=grad)
 
 
 def observations_csv_lines(data: ObservationSet) -> list[str]:

@@ -12,13 +12,14 @@ solver work (integration, linear algebra, sampling) is timed; recording is
 excluded, so budgeted runs can be replayed and measured afterwards without
 polluting the budget.
 
-The Kalman-based update maintains a positive definite matrix C alongside
+The Kalman-based update maintains a positive definite matrix alongside
 the iterate.  Each step solves a sampled Gauss-Newton model regularized by
 the current precision C^-1 and then adds the sampled information into the
 precision.  The step has two algebraically equivalent forms: the
-information form solves a system in the number of components q,
-the covariance form (via the Woodbury identity) solves one in the stacked
-residual dimension.
+information form updates C^-1 and solves a system in the number of
+components q, the covariance form updates C (via the Woodbury identity) and
+solves one in the stacked residual dimension.  A run picks one form and
+carries only its matrix.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ Array = np.ndarray
 
 
 SCHEDULE_KINDS = ("constant", "polynomial")
-# "auto" picks the information or covariance form per step (see run_ksgd)
+# "auto" picks the information or covariance form once per run (see run_ksgd)
 KSGD_FORMS = ("auto", "information", "covariance")
 
 
@@ -285,7 +286,6 @@ def run_sgd(
 def run_gauss_newton(
     problem: Problem,
     theta0: Array,
-    damping: float | None = None,
     budget: float = 0.0,
     max_iter: int = 0,
     gtol: float = 0.0,
@@ -294,10 +294,11 @@ def run_gauss_newton(
 ) -> RunTrace:
     """Damped Gauss-Newton on the full residual system.
 
-    With ``damping`` None, each step uses damping_rel * trace(D'W^-1 D) / q,
-    which keeps heavily thinned (rank-deficient) problems solvable; pass
-    damping 0.0 for the undamped step.  Larger ``damping_rel`` tempers the
-    step on badly inconsistent (heavily modified) data.
+    Each step adds damping_rel * trace(D'W^-1 D) / q to the diagonal of the
+    normal matrix, which keeps heavily thinned (rank-deficient) problems
+    solvable; damping_rel 0.0 gives the undamped step.  Larger
+    ``damping_rel`` tempers the step on badly inconsistent (heavily
+    modified) data.
     """
 
     def step(k, theta):
@@ -306,7 +307,7 @@ def run_gauss_newton(
         rhs = d.T @ rs.w_inv_apply(rs.r)
         normal = _sym(d.T @ rs.w_inv_apply(d))
         q = len(theta)
-        lam = damping if damping is not None else damping_rel * np.trace(normal) / q
+        lam = damping_rel * np.trace(normal) / q
         chol = _spd_factor(normal + lam * np.eye(q), "Gauss-Newton normal equations")
         return theta + _cho_solve(chol, rhs), float(np.max(np.abs(rhs)))
 
@@ -320,10 +321,10 @@ def run_gauss_newton(
 
 @dataclass(frozen=True)
 class KsgdState:
-    """Iterate plus the precision (c_inv) and/or covariance (c) matrix.
+    """Iterate plus the precision (c_inv) or covariance (c) matrix.
 
-    Whichever matrices are present are updated by their own recursion, so a
-    state carrying both keeps them mutual inverses up to roundoff.
+    ``initial`` carries both, so either form can take the first step; a
+    step returns only the matrix its form updates.
     """
 
     theta: Array
@@ -346,34 +347,28 @@ def ksgd_step(state: KsgdState, rs: ResidualSystem, form: str = "information") -
 
     information form:  theta += (D'W^-1 D + C^-1)^-1 D'W^-1 r
     covariance form:   theta += C D' (W + D C D')^-1 r
-    and in both cases the new precision is C^-1 + D'W^-1 D (the covariance
-    recursion is its Woodbury image).  Matrices are symmetrized after each
-    update to suppress roundoff drift.
+    The information form updates the precision to C^-1 + D'W^-1 D, the
+    covariance form updates C by its Woodbury image.  The new state carries
+    only the matrix its form updates, symmetrized to suppress roundoff
+    drift.
     """
     if form == "auto" or form not in KSGD_FORMS:
         raise ValueError(f"unknown kSGD form {form!r}")
     d = rs.d_matrix
-    c_inv_new = c_new = None
-
     if form == "information":
         if state.c_inv is None:
             raise SolverError("information form requires the precision matrix")
-        c_inv_new = _sym(state.c_inv + d.T @ rs.w_inv_apply(d))
-        chol = _spd_factor(c_inv_new, "kSGD precision solve")
+        c_inv = _sym(state.c_inv + d.T @ rs.w_inv_apply(d))
+        chol = _spd_factor(c_inv, "kSGD precision solve")
         delta = _cho_solve(chol, d.T @ rs.w_inv_apply(rs.r))
-        if state.c is not None:
-            c_new = _sym(_cho_solve(chol, np.eye(len(delta))))
-    else:
-        if state.c is None:
-            raise SolverError("covariance form requires the covariance matrix")
-        cd = state.c @ d.T
-        chol = _spd_factor(_sym(rs.w + d @ cd), "kSGD innovation solve")
-        delta = cd @ _cho_solve(chol, rs.r)
-        c_new = _sym(state.c - cd @ _cho_solve(chol, cd.T))
-        if state.c_inv is not None:
-            c_inv_new = _sym(state.c_inv + d.T @ rs.w_inv_apply(d))
-
-    return KsgdState(theta=state.theta + delta, c_inv=c_inv_new, c=c_new, k=state.k + 1)
+        return KsgdState(theta=state.theta + delta, c_inv=c_inv, c=None, k=state.k + 1)
+    if state.c is None:
+        raise SolverError("covariance form requires the covariance matrix")
+    cd = state.c @ d.T
+    chol = _spd_factor(_sym(rs.w + d @ cd), "kSGD innovation solve")
+    delta = cd @ _cho_solve(chol, rs.r)
+    c = _sym(state.c - cd @ _cho_solve(chol, cd.T))
+    return KsgdState(theta=state.theta + delta, c_inv=None, c=c, k=state.k + 1)
 
 
 def run_ksgd(
@@ -388,25 +383,25 @@ def run_ksgd(
 ) -> RunTrace:
     """Kalman-based SGD: fresh sample, residual system, update, repeat.
 
-    ``form`` "auto" picks the information form whenever the number of
-    components q is at most the stacked residual dimension (the smaller
-    implicit linear system), else the covariance form.
+    ``form`` "auto" picks, from the first draw, the information form when
+    the number of components q is at most the stacked residual dimension
+    (the smaller implicit linear system), else the covariance form, and
+    keeps it for the whole run: both forms are valid for any draw.
     """
     if form not in KSGD_FORMS:
         raise ValueError(f"unknown kSGD form {form!r}")
     q = problem.model.q
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    box = {"state": KsgdState.initial(theta0, q)}
+    box = {"state": KsgdState.initial(theta0, q), "form": form}
 
     def step(k, theta):
         state = box["state"]
         sample = sampler.draw(problem.n_obs, rng)
         grid = problem.sample_grid(sample, coarse=sampler.coarse_grid)
         rs = problem.residual_system(state.theta, sample, grid)
-        use = form
-        if use == "auto":
-            use = "information" if q <= rs.n_rows else "covariance"
-        box["state"] = ksgd_step(state, rs, form=use)
+        if box["form"] == "auto":
+            box["form"] = "information" if q <= rs.n_rows else "covariance"
+        box["state"] = ksgd_step(state, rs, form=box["form"])
         return box["state"].theta, None
 
     return _run_loop(theta0, step, budget, max_iter, record_every)

@@ -335,8 +335,14 @@ def test_parse_rejects_bad_enumerated_or_nonpositive_value(tmp_path, section, ke
             ["solver.theta0=explicit", "solver.theta0_values=1,2"],
             "[solver] theta0_values with 6 components",
         ),
+        # SMALL_FN has 1000 observations: neither keeps one at potp 0.0001
+        ("modify", ["modify.scheme=simple_random", "modify.potp=0.0001"], "[modify] potp"),
+        ("modify", ["modify.scheme=systematic_random", "modify.potp=0.0001"], "[modify] potp"),
     ],
-    ids=["record_every", "budget", "race_budget", "theta0_missing", "theta0_count"],
+    ids=[
+        "record_every", "budget", "race_budget", "theta0_missing", "theta0_count",
+        "simple_potp", "systematic_potp",
+    ],
 )
 def test_a_run_that_cannot_start_fails_before_fitting(command, overrides, named, tmp_path, capsys):
     path = write_config(tmp_path, SMALL_FN)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hfda.harness import ExperimentConfig, build_data, modify_data
 from hfda.modify import (
     ModificationScheme,
     SCHEME_KINDS,
@@ -296,3 +297,25 @@ def test_default_predetermined_spacing():
     assert len(targets) == 50
     assert targets[0] == 1.0
     assert targets[-1] == 50.0
+    # a spacing that does not divide the span ends the targets at t_end
+    targets = default_predetermined((0.0, 50.0), 0.01, 0.0123)
+    assert len(targets) == 62
+    assert np.allclose(np.diff(targets[:-1]), 0.01 / 0.0123)
+    assert targets[-2] < targets[-1] == 50.0
+    # so does a span shorter than one spacing, with t_end its only target
+    assert np.array_equal(default_predetermined((0.0, 50.0), 0.01, 0.0001), [50.0])
+
+
+def test_every_scheme_runs_on_the_shipped_fn_data_at_a_fraction_that_does_not_divide_it():
+    config = ExperimentConfig(model="fitzhugh_nagumo")
+    model, data = build_data(config)
+    t_end = model.t_span[1]
+    targets = default_predetermined(model.t_span, config.obs_period, 0.0123)
+    for kind in SCHEME_KINDS:
+        out = modify_data(config, model, data, kind, 0.0123)
+        assert 0 < len(out) <= len(data), kind
+        assert out.times[-1] <= t_end, kind
+        if not kind.endswith("_random"):
+            assert np.all(np.isin(out.times, targets)), kind
+        if kind.startswith("average"):
+            assert len(out) == 62, kind

@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hfda import optimize
 from hfda.dynamics import linear_system
+from hfda.harness import ExperimentConfig, build_data, build_problem, resolve_theta0
 from hfda.observe import GradientEvaluation, identity_observation, simulate_observations
 from hfda.optimize import (
     KsgdState,
@@ -28,7 +30,7 @@ class QuadraticProblem:
         self.a = np.asarray(a, dtype=float)
 
     def gradient(self, theta):
-        return GradientEvaluation(value=float(0.5 * theta @ self.a @ theta), grad=self.a @ theta)
+        return GradientEvaluation(grad=self.a @ theta)
 
 
 def random_spd(rng, n, shift=None):
@@ -214,7 +216,7 @@ def flow_jacobian_fd(problem, theta0):
 def test_gauss_newton_one_step_exact_on_affine(linear_problem):
     rng = np.random.default_rng(7)
     theta0 = rng.standard_normal(4)
-    trace = run_gauss_newton(linear_problem, theta0, damping=0.0, max_iter=1)
+    trace = run_gauss_newton(linear_problem, theta0, damping_rel=0.0, max_iter=1)
 
     # independent oracle: normal equations on the finite-difference Jacobian
     # (exact for an affine flow), V = sigma^2 I cancels in the solve
@@ -230,15 +232,15 @@ def test_gauss_newton_one_step_exact_on_affine(linear_problem):
 
 def test_gauss_newton_zero_residual_fixed_point(fn_small_noiseless):
     model, data, problem = fn_small_noiseless
-    trace = run_gauss_newton(problem, model.theta_ref(), damping=0.0, max_iter=1)
+    trace = run_gauss_newton(problem, model.theta_ref(), damping_rel=0.0, max_iter=1)
     assert np.array_equal(trace.final_theta, model.theta_ref())
 
 
 def test_gauss_newton_damping_shrinks_step(linear_problem):
     theta0 = np.ones(4)
     deltas = []
-    for lam in (1e2, 1e5, 1e8):
-        trace = run_gauss_newton(linear_problem, theta0, damping=lam, max_iter=1)
+    for rel in (1e-1, 1e2, 1e5):
+        trace = run_gauss_newton(linear_problem, theta0, damping_rel=rel, max_iter=1)
         deltas.append(np.linalg.norm(trace.final_theta - theta0))
     assert deltas[0] > deltas[1] > deltas[2]
     assert deltas[2] <= 1e-4
@@ -277,7 +279,7 @@ def test_gauss_newton_singular_without_damping():
     data = simulate_observations(model, np.zeros(1), obs_model, 0.25, seed=1)
     problem = Problem(model, data, h=0.25)
     with pytest.raises(SolverError, match="damping"):
-        run_gauss_newton(problem, np.array([0.0, 0.0]), damping=0.0, max_iter=1)
+        run_gauss_newton(problem, np.array([0.0, 0.0]), damping_rel=0.0, max_iter=1)
     # the default damping keeps the thinned/rank-deficient system solvable
     trace = run_gauss_newton(problem, np.array([0.0, 0.0]), max_iter=1)
     assert np.all(np.isfinite(trace.final_theta))
@@ -323,21 +325,6 @@ def test_ksgd_information_and_covariance_forms_agree():
         t_cov = ksgd_step(KsgdState(theta, None, c, 0), rs, "covariance").theta
         worst = max(worst, np.linalg.norm(t_info - t_cov) / (1.0 + np.linalg.norm(t_info)))
     assert worst <= 1e-10
-
-
-def test_ksgd_dual_updates_stay_mutual_inverses():
-    rng = np.random.default_rng(23)
-    state = KsgdState.initial(np.zeros(3), 3)
-    for k in range(12):
-        m = int(rng.integers(1, 5))
-        rs = ResidualSystem(
-            r=rng.standard_normal(m),
-            d_matrix=rng.standard_normal((m, 3)),
-            w_inv_blocks=np.array([[[1.0]]] * m),
-        )
-        form = "information" if k % 2 == 0 else "covariance"
-        state = ksgd_step(state, rs, form=form)
-        assert np.linalg.norm(state.c_inv @ state.c - np.eye(3)) <= 1e-8
 
 
 def test_ksgd_precision_eigenvalues_nondecreasing():
@@ -430,6 +417,29 @@ def test_run_ksgd_auto_form_covers_covariance_regime(linear_problem):
     assert trace.n_iterations == 12
     assert np.all(np.isfinite(trace.thetas))
     assert linear_problem.objective(trace.final_theta) < linear_problem.objective(theta0)
+
+
+def test_run_ksgd_auto_form_keeps_one_matrix_on_the_shipped_lv_run(monkeypatch):
+    # the shipped LV draws stack 40 residual rows against 6 components, so
+    # "auto" settles on the information form and then updates C^-1 alone
+    config = ExperimentConfig(model="lotka_volterra")
+    model, data = build_data(config)
+    problem = build_problem(config, model, data)
+    theta0 = resolve_theta0(config, model)
+    sampler = Sampler("systematic", kappa=100)
+    states = []
+
+    def recording(state, rs, form):
+        states.append(ksgd_step(state, rs, form))
+        return states[-1]
+
+    monkeypatch.setattr(optimize, "ksgd_step", recording)
+    auto = run_ksgd(problem, theta0, sampler, form="auto", max_iter=50, seed=5)
+    information = run_ksgd(problem, theta0, sampler, form="information", max_iter=50, seed=5)
+    assert auto.n_iterations == information.n_iterations == 50
+    assert np.array_equal(auto.thetas, information.thetas)
+    assert len(states) == 100
+    assert all(state.c is None and state.c_inv.shape == (6, 6) for state in states)
 
 
 def test_run_ksgd_seed_reproducible(fn_small):
