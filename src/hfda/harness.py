@@ -36,7 +36,7 @@ import numpy as np
 
 from .dynamics import MODEL_NAMES, ModelSpec, eval_jacobians, eval_rhs, get_model
 from .integrate import grid_from_times, integrate_augmented
-from .modify import SCHEME_KINDS, make_scheme, round_half_away
+from .modify import SCHEME_KINDS, make_scheme
 from .observe import (
     DERIVATIVE_MODES,
     ObservationSet,
@@ -56,7 +56,7 @@ from .optimize import (
     run_ksgd,
     run_sgd,
 )
-from .stochastic import SAMPLER_KINDS, Sampler
+from .stochastic import SAMPLER_KINDS, Sampler, round_half_away
 
 Array = np.ndarray
 
@@ -244,6 +244,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"[modify] potp {potp:g} leaves {self.modify_scheme} no observation of {n_obs}"
             )
+        if not self.table1_potps:
+            raise ValueError("[table1] potps must list at least one fraction")
         for section in ("solver", "race"):
             if getattr(self, f"{section}_budget") <= 0 and getattr(self, f"{section}_max_iter") <= 0:
                 raise ValueError(f"[{section}] budget or [{section}] max_iter must be positive")
@@ -315,10 +317,7 @@ def resolve_theta0(config: ExperimentConfig, model: ModelSpec) -> Array:
         z = inverse_cdf_gaussian(rng, theta_ref.shape)
         return theta_ref * (1.0 + config.theta0_scale * z)
     if config.theta0_policy == "explicit":
-        theta0 = np.asarray(config.theta0_values, dtype=float)
-        if theta0.shape != theta_ref.shape:
-            raise ValueError(f"theta0 must have {len(theta_ref)} components")
-        return theta0
+        return np.asarray(config.theta0_values, dtype=float)
     raise ValueError(
         f"unknown theta0 policy {config.theta0_policy!r}; available: {', '.join(THETA0_POLICIES)}"
     )
@@ -378,8 +377,8 @@ def reference_minimizer(
             return np.asarray(payload["theta"]), float(payload["objective"])
 
     trace, _ = run_solver(
-        config, "gn", problem, problem.model.theta_ref(), n_full=len(problem.data), budget=0.0,
-        max_iter=config.ref_max_iter, record_every=1, gtol=config.ref_gtol,
+        config, "gn", problem, problem.model.theta_ref(), budget=0.0, max_iter=config.ref_max_iter,
+        record_every=1, gtol=config.ref_gtol,
     )
     theta_hat = trace.final_theta
     g_ref = float(problem.objective_many(theta_hat[None])[0])
@@ -499,7 +498,6 @@ def run_solver(
     problem: Problem,
     theta0: Array,
     *,
-    n_full: int,
     budget: float,
     max_iter: int,
     record_every: int,
@@ -510,13 +508,13 @@ def run_solver(
 
     ``gtol`` is the convergence tolerance of GD and GN, ``damping_rel``
     GN's relative damping.  Unset step sizes fall back to the per-model
-    tuned constants; the GD step is rescaled by n_full / len(problem.data)
-    because constant steps are tuned against the full-data gradient scale
-    and thinned problems see proportionally smaller gradients.  The
-    sampling stride is ``[solver] kappa``, else the model's tuned stride
-    rescaled to keep the coarse step kappa * period and by
-    len(problem.data) / n_full, so that a thinned problem keeps the full
-    data's coarse step; either is clamped to the number of observations.
+    tuned constants; the GD step is rescaled by N / len(problem.data), N
+    the configuration's observation count, because constant steps are tuned
+    against the full-data gradient scale and thinned problems see smaller
+    gradients.  The ``[solver] sampler`` draws at stride ``[solver] kappa``,
+    else at the model's tuned stride rescaled to keep the coarse step
+    kappa * period and by len(problem.data) / N, so that a thinned problem
+    keeps the full data's coarse step; either is clamped to len(problem.data).
     Returns the trace and its hyperparameters.
     """
     if solver not in SOLVER_NAMES:
@@ -526,6 +524,7 @@ def run_solver(
         return run_gauss_newton(problem, theta0, gtol=gtol, damping_rel=damping_rel, **common), {}
 
     defaults = MODEL_DEFAULTS[config.model]
+    n_full = observation_times(problem.model.t_span, config.obs_period).size
     eta0 = config.solver_eta0
     if eta0 is None and solver != "ksgd":
         eta0 = defaults[f"{solver}_eta0"]
@@ -540,10 +539,7 @@ def run_solver(
         scaled = defaults["kappa"] * defaults["period"] / config.obs_period
         kappa = max(1, round_half_away(scaled * (len(problem.data) / n_full)))
     kappa = min(kappa, len(problem.data))
-    if config.solver_sampler == "simple":
-        sampler = Sampler("simple", m=max(1, round_half_away(len(problem.data) / kappa)))
-    else:
-        sampler = Sampler(config.solver_sampler, kappa=kappa)
+    sampler = Sampler(config.solver_sampler, kappa=kappa)
     seed = config.stream(solver, config.solver_seed)
     if solver == "sgd":
         schedule = StepSchedule(config.solver_schedule, eta0, config.solver_k0, config.solver_alpha)
@@ -553,15 +549,15 @@ def run_solver(
     return trace, {"kappa": kappa, "sampler": sampler.kind}
 
 
-def _fit(config: ExperimentConfig, row: GridRow, problem: Problem, n_full: int):
+def _fit(config: ExperimentConfig, row: GridRow, problem: Problem):
     """(trace, hyperparameters, status) of the row's solver run through
     ``run_solver``.  A rescue row climbs the damping ladder while its fit
     diverges or its normal equations fail."""
     for damping_rel in _DAMPING_LADDER if row.rescue else _DAMPING_LADDER[:1]:
         try:
             trace, hyper = run_solver(
-                config, row.solver, problem, row.start, n_full=n_full, budget=row.budget,
-                max_iter=row.max_iter, record_every=row.record_every, gtol=row.gtol, damping_rel=damping_rel,
+                config, row.solver, problem, row.start, budget=row.budget, max_iter=row.max_iter,
+                record_every=row.record_every, gtol=row.gtol, damping_rel=damping_rel,
             )
         except SolverError:
             if not row.rescue:
@@ -585,7 +581,7 @@ def run_grid(config: ExperimentConfig, base: Baseline, rows) -> tuple[RaceRun, .
         problem = base.problem
         if row.scheme != "none":
             problem = build_problem(config, base.model, base.data, row.scheme, row.potp)
-        trace, hyper, status = _fit(config, row, problem, len(base.data))
+        trace, hyper, status = _fit(config, row, problem)
         scores = np.empty(0) if trace is None else _score(base.problem, base.theta_hat, trace.thetas)
         runs.append(RaceRun(row.label, row.solver, row.scheme, row.potp, trace, scores, hyper, status))
     return tuple(runs)
@@ -685,7 +681,7 @@ class RaceResult:
         raise KeyError(label)
 
 
-def run_budget_race(config: ExperimentConfig, write_csv: bool = True) -> RaceResult:
+def run_budget_race(config: ExperimentConfig) -> RaceResult:
     """Race all solver/scheme combinations under the shared budget: GD on
     the full and every modified problem, then SGD; GN likewise, then kSGD.
 
@@ -701,9 +697,8 @@ def run_budget_race(config: ExperimentConfig, write_csv: bool = True) -> RaceRes
             rows.append(GridRow(label, solver, scheme, config.race_potp, base.theta0, config.race_budget,
                                 config.race_max_iter, config.solver_gtol, every))
     runs = run_grid(config, base, rows)
-    if write_csv:
-        for run in runs:
-            write_run(config, run)
+    for run in runs:
+        write_run(config, run)
     return RaceResult(runs)
 
 

@@ -14,7 +14,8 @@ All six schemes map an observation set to a smaller or displaced one:
   the observations unchanged, drawn by ``stochastic.draw_simple`` /
   ``draw_systematic`` (the draws the stochastic solvers use).
 
-Counts derived from a target fraction use half-away-from-zero rounding.
+Counts derived from a target fraction use half-away-from-zero rounding
+(``stochastic.round_half_away``).
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .observe import ObservationSet, observation_times
-from .stochastic import draw_simple, draw_systematic
+from .stochastic import draw_simple, draw_systematic, round_half_away
 
 Array = np.ndarray
 
@@ -35,11 +36,6 @@ SCHEME_KINDS = (
     "simple_random",
     "systematic_random",
 )
-
-
-def round_half_away(x: float) -> int:
-    """Round to the nearest integer, halves away from zero."""
-    return int(np.sign(x) * np.floor(abs(x) + 0.5))
 
 
 def default_predetermined(

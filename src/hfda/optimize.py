@@ -32,7 +32,7 @@ from .dynamics import ModelSpec
 from .integrate import DivergenceError, TimeGrid, build_grid, grid_from_times
 from .observe import DERIVATIVE_MODES, GradientEvaluation, ObservationSet
 from . import observe
-from .stochastic import ResidualSystem, SampleSet, Sampler, full_sample
+from .stochastic import ResidualSystem, SampleSet, Sampler
 from . import stochastic
 
 Array = np.ndarray
@@ -121,7 +121,8 @@ class RunTrace:
 
 
 class Problem:
-    """A model/data pair ready for optimization over the augmented state."""
+    """A model/data pair ready for optimization over the augmented state;
+    its full-data evaluations fit every observation as it is on ``grid``."""
 
     def __init__(
         self,
@@ -169,10 +170,9 @@ class Problem:
     def residual_system(
         self, theta: Array, sample: SampleSet | None = None, grid: TimeGrid | None = None
     ) -> ResidualSystem:
-        if sample is None:
-            sample = full_sample(self.n_obs)
-        if grid is None:
-            grid = self.grid
+        """The residual system of ``sample`` (default: every observation as
+        it is) on ``grid`` (default: the problem's grid)."""
+        grid = self.grid if grid is None else grid
         return stochastic.residual_system(self.model, theta, self.data, sample, grid)
 
 

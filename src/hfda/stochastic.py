@@ -3,17 +3,18 @@
 A ``SampleSet`` is a sorted set of observation indices together with each
 index's inclusion probability pi.  Weighting every sampled loss term by
 1/pi makes the subsampled gradient an unbiased estimator of the full
-gradient.  Systematic draws keep every kappa-th observation from a random
-offset, so the sampled times sit one preferred integration step apart and
-the gradient costs one coarse pass; simple random draws scatter the times
-and force integration on the union of the sampled times with the regular
-step grid.
+gradient.  Every draw keeps about one observation in kappa.  Systematic
+draws keep every kappa-th from a random offset, so the sampled times sit
+one preferred integration step apart and the gradient costs one coarse
+pass; simple random draws scatter the times and force integration on the
+union of the sampled times with the regular step grid.
 
 ``residual_system`` assembles the stacked residual vector, its Jacobian
 with respect to the augmented initial condition, and the block-diagonal
 inverse weight matrix used by the Gauss-Newton-type updates.  It and
 ``stochastic_gradient`` both fit the sampled observations as
-``ObservationSet.subset`` returns them with weights scaled by 1/pi.
+``ObservationSet.subset`` returns them with weights scaled by 1/pi;
+Gauss-Newton passes no sample and fits the whole record as it is.
 """
 from __future__ import annotations
 
@@ -51,9 +52,9 @@ class SampleSet:
         return len(self.indices)
 
 
-def full_sample(n_obs: int) -> SampleSet:
-    """Every index with inclusion probability one."""
-    return SampleSet(indices=np.arange(n_obs), pi=np.ones(n_obs))
+def round_half_away(x: float) -> int:
+    """Round to the nearest integer, halves away from zero."""
+    return int(np.sign(x) * np.floor(abs(x) + 0.5))
 
 
 def draw_systematic(n_obs: int, kappa: int, rng: np.random.Generator) -> SampleSet:
@@ -87,33 +88,32 @@ def draw_stratified(n_obs: int, kappa: int, rng: np.random.Generator) -> SampleS
     return SampleSet(indices=picks, pi=1.0 / sizes)
 
 
-SAMPLER_KINDS = ("systematic", "stratified", "simple", "full")
+SAMPLER_KINDS = ("systematic", "stratified", "simple")
 
 
 @dataclass(frozen=True)
 class Sampler:
-    """A drawing strategy solvers call once per iteration.
-
-    kind "systematic" and "stratified" use ``kappa``; "simple" uses ``m``;
-    "full" keeps everything with pi = 1.
+    """A drawing strategy solvers call once per iteration, keeping about
+    one observation in ``kappa``: "systematic" every kappa-th from a random
+    offset, "stratified" one from each window of kappa, "simple"
+    max(1, round(n_obs / kappa)) uniformly without replacement.
     """
 
     kind: str
-    kappa: int = 1
-    m: int = 0
+    kappa: int
 
     def __post_init__(self) -> None:
         if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
+        if self.kappa < 1:
+            raise ValueError(f"sampling stride {self.kappa} must be at least 1")
 
     def draw(self, n_obs: int, rng: np.random.Generator) -> SampleSet:
         if self.kind == "systematic":
             return draw_systematic(n_obs, self.kappa, rng)
         if self.kind == "stratified":
             return draw_stratified(n_obs, self.kappa, rng)
-        if self.kind == "simple":
-            return draw_simple(n_obs, self.m, rng)
-        return full_sample(n_obs)
+        return draw_simple(n_obs, max(1, round_half_away(n_obs / self.kappa)), rng)
 
     @property
     def coarse_grid(self) -> bool:
@@ -192,12 +192,13 @@ def residual_system(
     model: ModelSpec,
     theta: Array,
     data: ObservationSet,
-    sample: SampleSet,
+    sample: SampleSet | None,
     grid: TimeGrid,
 ) -> ResidualSystem:
     """Assemble the residual system at theta for the sampled observations,
-    weighted as in ``stochastic_gradient``."""
-    sub = data.subset(sample.indices, weight_scale=1.0 / sample.pi)
+    weighted as in ``stochastic_gradient``; with no sample, for all of
+    ``data`` as it is."""
+    sub = data if sample is None else data.subset(sample.indices, weight_scale=1.0 / sample.pi)
     obs = sub.model
     node_idx = grid.node_index(sub.times)
 

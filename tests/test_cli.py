@@ -9,6 +9,9 @@ import pytest
 
 from hfda import cli, harness
 from hfda.cli import ConfigError, main, parse_config
+from hfda.observe import DERIVATIVE_MODES
+from hfda.optimize import SCHEDULE_KINDS
+from hfda.stochastic import SAMPLER_KINDS
 
 REPO_CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -289,6 +292,7 @@ def test_unknown_sampler_exits_before_fitting(tmp_path):
         ("experiment", "mode", "reverse"),
         ("solver", "name", "bfgs"),
         ("solver", "sampler", "bogus"),
+        ("solver", "sampler", "full"),
         ("solver", "schedule", "cosine"),
         ("solver", "theta0", "random"),
         ("solver", "kappa", "0"),
@@ -303,6 +307,7 @@ def test_unknown_sampler_exits_before_fitting(tmp_path):
         ("modify", "potp", "1.5"),
         ("race", "potp", "0"),
         ("table1", "potps", "0.01, 0"),
+        ("table1", "potps", ""),
         ("solver", "record_every", "0"),
         ("race", "record_every", "0"),
         ("table1", "max_iter", "0"),
@@ -338,10 +343,11 @@ def test_parse_rejects_bad_enumerated_or_nonpositive_value(tmp_path, section, ke
         # SMALL_FN has 1000 observations: neither keeps one at potp 0.0001
         ("modify", ["modify.scheme=simple_random", "modify.potp=0.0001"], "[modify] potp"),
         ("modify", ["modify.scheme=systematic_random", "modify.potp=0.0001"], "[modify] potp"),
+        ("table1", ["table1.potps="], "[table1] potps"),
     ],
     ids=[
         "record_every", "budget", "race_budget", "theta0_missing", "theta0_count",
-        "simple_potp", "systematic_potp",
+        "simple_potp", "systematic_potp", "empty_potps",
     ],
 )
 def test_a_run_that_cannot_start_fails_before_fitting(command, overrides, named, tmp_path, capsys):
@@ -374,6 +380,15 @@ def test_readme_config_reference_lists_the_declared_keys():
     for section, key in cli._SCHEMA:
         declared.setdefault(section, []).append(key)
     assert list(listed.items()) == list(declared.items())
+    listed_choices = re.findall(r"`(\w+)` \(([\w/]+)\)", table)
+    choices = {key: tuple(values.split("/")) for key, values in listed_choices}
+    assert choices == {
+        "mode": DERIVATIVE_MODES,
+        "name": harness.SOLVER_NAMES,
+        "schedule": SCHEDULE_KINDS,
+        "sampler": SAMPLER_KINDS,
+        "theta0": harness.THETA0_POLICIES,
+    }
 
 
 def test_modify_flags_are_checked_like_config_keys(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -85,9 +86,28 @@ def test_replaced_period_rescales_the_default_kappa():
     model, data = build_data(config)
     problem = build_problem(config, model, data)
     _, hyper = harness.run_solver(
-        config, "sgd", problem, model.theta_ref(), n_full=len(data), budget=0.0, max_iter=1, record_every=1
+        config, "sgd", problem, model.theta_ref(), budget=0.0, max_iter=1, record_every=1
     )
     assert hyper["kappa"] == 10
+
+
+@pytest.mark.parametrize(
+    "solver, digest",
+    [
+        ("sgd", "c13fd66915280f664e5439ae8806a261a8f66489e3f9cde9492f427d029fe724"),
+        ("ksgd", "760ac41f66b27b737ef486ae62c6b913f64666779cc2b6175076a4f2769c6445"),
+    ],
+)
+def test_simple_sampler_runs_keep_their_bits_on_the_shipped_lv_data(solver, digest):
+    # kappa = 100 on N = 2000: every simple draw keeps 20 observations
+    config = ExperimentConfig(model="lotka_volterra", solver_sampler="simple")
+    model, data = build_data(config)
+    problem = build_problem(config, model, data)
+    trace, hyper = harness.run_solver(
+        config, solver, problem, resolve_theta0(config, model), budget=0.0, max_iter=20, record_every=1
+    )
+    assert hyper["kappa"] == 100 and trace.n_iterations == 20
+    assert hashlib.sha256(trace.thetas.tobytes()).hexdigest() == digest
 
 
 def test_reference_minimizer_cached(small_config, tmp_path):

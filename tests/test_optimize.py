@@ -148,7 +148,7 @@ def test_sgd_with_full_sampler_reproduces_gd(fn_small):
     theta0 = model.theta_ref() * 1.02
     sch = StepSchedule("constant", 1e-5)
     tr_gd = run_gd(problem, theta0, sch, max_iter=6)
-    tr_sgd = run_sgd(problem, theta0, sch, Sampler("full"), max_iter=6, seed=0)
+    tr_sgd = run_sgd(problem, theta0, sch, Sampler("systematic", kappa=1), max_iter=6, seed=0)
     assert np.array_equal(tr_gd.thetas, tr_sgd.thetas)
 
 
@@ -395,10 +395,11 @@ def test_ksgd_sweep_of_linear_ode_matches_generalized_least_squares(linear_probl
 
 
 def test_run_ksgd_fixed_point_at_truth(fn_small_noiseless):
-    # the full sampler integrates on the same grid the data was generated
-    # on, so every residual is exactly zero and the iterate never moves
+    # a stride-1 systematic draw keeps every observation and integrates on
+    # the same grid the data was generated on, so every residual is exactly
+    # zero and the iterate never moves
     model, data, problem = fn_small_noiseless
-    trace = run_ksgd(problem, model.theta_ref(), Sampler("full"), max_iter=4, seed=2)
+    trace = run_ksgd(problem, model.theta_ref(), Sampler("systematic", kappa=1), max_iter=4, seed=2)
     assert np.array_equal(trace.final_theta, model.theta_ref())
     # a coarse systematic grid re-introduces truncation-scale residuals but
     # must stay in the truncation neighborhood

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hfda.harness import ExperimentConfig, build_data, build_problem
 from hfda.integrate import integrate_augmented_sensitivity, reset_step_count, step_count
 from hfda.modify import accumulate_upper, default_predetermined
 from hfda.observe import gradient
@@ -14,8 +15,8 @@ from hfda.stochastic import (
     draw_simple,
     draw_stratified,
     draw_systematic,
-    full_sample,
     residual_system,
+    round_half_away,
     stochastic_gradient,
 )
 
@@ -114,8 +115,19 @@ def test_sample_set_validation():
 def test_sampler_grid_policy():
     assert Sampler("systematic", kappa=2).coarse_grid
     assert Sampler("stratified", kappa=2).coarse_grid
-    assert Sampler("full").coarse_grid
-    assert not Sampler("simple", m=3).coarse_grid
+    assert not Sampler("simple", kappa=3).coarse_grid
+
+
+@pytest.mark.parametrize("kappa", [1, 3, 100, 2000, 5000])
+def test_simple_sampler_keeps_one_observation_in_kappa(kappa):
+    sample = Sampler("simple", kappa=kappa).draw(2000, np.random.default_rng(0))
+    assert len(sample) == max(1, round_half_away(2000 / kappa))
+    assert np.all(sample.pi == len(sample) / 2000)
+
+
+def test_sampler_rejects_a_stride_below_one():
+    with pytest.raises(ValueError, match="sampling stride 0 must be at least 1"):
+        Sampler("simple", kappa=0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +139,8 @@ def test_full_sample_gradient_equals_full_gradient(fn_small):
     model, data, problem = fn_small
     theta = model.theta_ref() * 1.02
     ev_full = problem.gradient(theta)
-    ev_s = stochastic_gradient(model, theta, data, full_sample(len(data)), problem.grid)
+    every = SampleSet(indices=np.arange(len(data)), pi=np.ones(len(data)))
+    ev_s = stochastic_gradient(model, theta, data, every, problem.grid)
     assert np.array_equal(ev_full.grad, ev_s.grad)
 
 
@@ -194,6 +207,19 @@ def test_residuals_vanish_at_truth_noiseless(fn_small_noiseless):
     s = offsets_sample(len(data), 4, 1)
     rs = residual_system(model, model.theta_ref(), data, s, problem.grid)
     assert np.array_equal(rs.r, np.zeros(rs.n_rows))
+
+
+def test_full_data_system_is_the_system_of_a_draw_of_everything():
+    # Gauss-Newton fits the record as it is; weights scaled by 1/pi = 1
+    # would give the same bits
+    config = ExperimentConfig(model="fitzhugh_nagumo")
+    model, data = build_data(config)
+    problem = build_problem(config, model, data)
+    every = SampleSet(indices=np.arange(len(data)), pi=np.ones(len(data)))
+    full = problem.residual_system(model.theta_ref())
+    drawn = residual_system(model, model.theta_ref(), data, every, problem.grid)
+    for name in ("r", "d_matrix", "w_inv_blocks"):
+        assert np.array_equal(getattr(full, name), getattr(drawn, name)), name
 
 
 def test_score_identity(fn_small):
