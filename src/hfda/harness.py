@@ -282,13 +282,9 @@ def modify_data(
     config: ExperimentConfig, model: ModelSpec, data: ObservationSet, scheme: str, potp: float
 ) -> ObservationSet:
     """Apply one modification scheme at target fraction ``potp``; the
-    sampling schemes draw from the ``modify/<scheme>/<potp>`` stream.
-
-    Superobservation weights emitted by averaging schemes are reset to one,
-    so the loss treats them as ordinary observations.
-    """
+    sampling schemes draw from the ``modify/<scheme>/<potp>`` stream."""
     seed = config.stream(f"modify/{scheme}/{potp}", config.modify_seed)
-    return make_scheme(scheme, model.t_span, config.obs_period, potp, seed).apply(data).replace_weights(1.0)
+    return make_scheme(scheme, model.t_span, config.obs_period, potp, seed).apply(data)
 
 
 def build_problem(
@@ -361,20 +357,24 @@ def _reference_key(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def reference_minimizer(
-    config: ExperimentConfig, problem: Problem, cache_dir: Path | None = None
-) -> tuple[Array, float]:
-    """Fit the unmodified problem once (``run_solver``'s Gauss-Newton from
-    the reference state) and cache (theta_hat, G(theta_hat)) under the
-    configuration hash.  Only a fit that ended ``converged`` is cached; any
-    other fit is returned and refit on the next call."""
+def _status(terminated_by: str) -> str:
+    """The reported status of a fit that ended ``terminated_by``: "ok"
+    (converged), "failed" (diverged) or the cap that stopped it."""
+    return {"converged": "ok", "divergence": "failed"}.get(terminated_by, terminated_by)
+
+
+def _fit_reference(
+    config: ExperimentConfig, problem: Problem, cache_dir: Path | None
+) -> tuple[Array, float, str]:
+    """(theta_hat, G(theta_hat), status) of ``reference_minimizer``; a cache
+    hit is "ok", because only converged fits are cached."""
     key = _reference_key(config)
     cache_path = None
     if cache_dir is not None:
         cache_path = Path(cache_dir) / f"reference_{key}.json"
         if cache_path.exists():
             payload = json.loads(cache_path.read_text())
-            return np.asarray(payload["theta"]), float(payload["objective"])
+            return np.asarray(payload["theta"]), float(payload["objective"]), "ok"
 
     trace, _ = run_solver(
         config, "gn", problem, problem.model.theta_ref(), budget=0.0, max_iter=config.ref_max_iter,
@@ -393,6 +393,17 @@ def reference_minimizer(
         }
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         cache_path.write_text(json.dumps(payload))
+    return theta_hat, g_ref, _status(trace.terminated_by)
+
+
+def reference_minimizer(
+    config: ExperimentConfig, problem: Problem, cache_dir: Path | None = None
+) -> tuple[Array, float]:
+    """Fit the unmodified problem once (``run_solver``'s Gauss-Newton from
+    the reference state) and cache (theta_hat, G(theta_hat)) under the
+    configuration hash.  Only a fit that ended ``converged`` is cached; any
+    other fit is returned and refit on the next call."""
+    theta_hat, g_ref, _ = _fit_reference(config, problem, cache_dir)
     return theta_hat, g_ref
 
 
@@ -404,13 +415,15 @@ def reference_minimizer(
 @dataclass(frozen=True)
 class Baseline:
     """What every run of a configuration shares: the unmodified data and
-    problem, the reference fit theta_hat with G(theta_hat), and the start."""
+    problem, the reference fit theta_hat with G(theta_hat) and its status,
+    and the start."""
 
     model: ModelSpec
     data: ObservationSet
     problem: Problem
     theta_hat: Array
     g_ref: float
+    reference_status: str
     theta0: Array
 
 
@@ -419,8 +432,8 @@ def prepare_baseline(config: ExperimentConfig) -> Baseline:
     the unmodified-problem reference minimizer and resolve the start."""
     model, data = build_data(config)
     problem = build_problem(config, model, data)
-    theta_hat, g_ref = reference_minimizer(config, problem, cache_dir=Path(config.output_dir))
-    return Baseline(model, data, problem, theta_hat, g_ref, resolve_theta0(config, model))
+    theta_hat, g_ref, status = _fit_reference(config, problem, Path(config.output_dir))
+    return Baseline(model, data, problem, theta_hat, g_ref, status, resolve_theta0(config, model))
 
 
 @dataclass(frozen=True)
@@ -564,7 +577,7 @@ def _fit(config: ExperimentConfig, row: GridRow, problem: Problem):
                 raise
             continue
         if not row.rescue or trace.terminated_by != "divergence":
-            status = {"converged": "ok", "divergence": "failed"}.get(trace.terminated_by, trace.terminated_by)
+            status = _status(trace.terminated_by)
             if damping_rel != _DAMPING_LADDER[0]:
                 status += f"(damping_rel={damping_rel:g})"
             return trace, hyper, status
@@ -645,8 +658,8 @@ def run_table1_study(config: ExperimentConfig, write_csv: bool = True) -> Relati
 
     Every fit is a rescue row of Gauss-Newton from the reference augmented
     state; the scheme "none" row is the reference fit itself (error exactly
-    zero).  Fits that never produce a finite estimate are reported as
-    infinite relative error and flagged.
+    zero) with that fit's status.  Fits that never produce a finite estimate
+    are reported as infinite relative error and flagged.
     """
     base = prepare_baseline(config)
     grid = [
@@ -657,7 +670,7 @@ def run_table1_study(config: ExperimentConfig, write_csv: bool = True) -> Relati
         for potp in config.table1_potps
     ]
     none_error = _score(base.problem, base.theta_hat, base.theta_hat[None])[0]
-    rows = [StudyRow("none", 1.0, float(none_error), "ok")]
+    rows = [StudyRow("none", 1.0, float(none_error), base.reference_status)]
     for run in run_grid(config, base, grid):
         error = run.scores[-1] if run.trace is not None else np.nan
         error = float(error) if np.isfinite(error) else np.inf

@@ -17,7 +17,9 @@ d x q tangent, carried as one more component).  ``_adjoint_sweep`` is the
 reverse sweep of the same discrete flow: each step, ``_adjoint_step``,
 transposes the stage recursion, re-running the forward stages to recover
 intra-step states, and row j of an (n_nodes, d) impulse array is added on
-the earlier side of node j.
+the earlier side of node j.  Both sensitivity sweeps return the derivative
+at every grid node, as the state sweeps return the state, so callers pick
+an observation's rows of either with ``TimeGrid.node_index``.
 
 ``integrate_augmented``, ``integrate_loss_terms`` and ``integrate_adjoint``
 run the compiled sweeps of ``kernel`` where it can build them for the model:
@@ -182,29 +184,15 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SensitivityTrajectory:
-    """Trajectory plus d(state)/d(initial state) at requested nodes."""
+    """Trajectory plus d(state)/d(initial state); sens[j] corresponds to
+    grid.nodes[j]."""
 
     base: Trajectory
-    request: Array  # node indices, sorted
-    sens: Array  # (len(request), q, q)
-
-    def sens_at(self, node_index: int) -> Array:
-        pos = int(np.searchsorted(self.request, node_index))
-        if pos >= len(self.request) or self.request[pos] != node_index:
-            raise KeyError(f"no sensitivity recorded at node {node_index}")
-        return self.sens[pos]
+    sens: Array  # (n_nodes, q, q)
 
 
 def _rhs_of(system):
     return system if callable(system) else system.rhs
-
-
-def _request(request_nodes: Array, grid: TimeGrid) -> Array:
-    """Sorted, unique node indices; raises if one is not a node of the grid."""
-    request = np.unique(np.asarray(request_nodes, dtype=int))
-    if request.size and (request[0] < 0 or request[-1] > grid.n_steps):
-        raise ValueError("requested nodes outside the grid")
-    return request
 
 
 def integrate(system, z0: Array, grid: TimeGrid) -> Trajectory:
@@ -237,29 +225,27 @@ def integrate(system, z0: Array, grid: TimeGrid) -> Trajectory:
     return Trajectory(grid=grid, states=states)
 
 
-def integrate_with_sensitivity(
-    system, z0: Array, grid: TimeGrid, request_nodes: Array
-) -> SensitivityTrajectory:
+def integrate_with_sensitivity(system, z0: Array, grid: TimeGrid) -> SensitivityTrajectory:
     """Advance the state and its derivative with respect to z0 together.
 
     This is ``integrate`` on the variational system (z, X)' = (F(z), J(z) X)
     from (z0, I), X flattened into the state.  Runge-Kutta stages of that
-    system evaluate the Jacobian at the stage states of z, so the recorded
-    matrices are the exact derivatives of the discrete flow.  A non-finite
-    entry of z or X raises ``DivergenceError``.
+    system evaluate the Jacobian at the stage states of z, so X at every
+    node is the exact derivative of the discrete flow; ``sens`` is the
+    (n_nodes, q, q) view of it.  A non-finite entry of z or X raises
+    ``DivergenceError``.
     """
     rhs, jac = system.rhs, system.jac
     z0 = np.asarray(z0, dtype=float)
     q = z0.shape[-1]
-    request = _request(request_nodes, grid)
 
     def variational(t, y):
         z = y[:q]
         return np.concatenate([rhs(t, z), (jac(t, z) @ y[q:].reshape(q, q)).ravel()])
 
     states = integrate(variational, np.concatenate([z0, np.eye(q).ravel()]), grid).states
-    sens = states[request, q:].reshape(-1, q, q)
-    return SensitivityTrajectory(Trajectory(grid, states[:, :q]), request, sens)
+    sens = states[:, q:].reshape(-1, q, q)
+    return SensitivityTrajectory(Trajectory(grid, states[:, :q]), sens)
 
 
 def _stages(rhs, t: float, h: float, x: list, params: list, advance: bool = True):
@@ -284,12 +270,12 @@ def _stages(rhs, t: float, h: float, x: list, params: list, advance: bool = True
     return (x, x2, x3, x4), x_next
 
 
-def _sweep(model: ModelSpec, theta: Array, grid: TimeGrid, request: Array | None = None):
+def _sweep(model: ModelSpec, theta: Array, grid: TimeGrid, tangent: bool = False):
     """(states, sens): the forward loop of ``integrate_augmented`` and
-    ``integrate_augmented_sensitivity``.  With ``request`` (1-D theta only)
+    ``integrate_augmented_sensitivity``.  With ``tangent`` (1-D theta only)
     the d x q tangent S rides along as one more component, its slope
-    f_x S + [0 | f_p] taken at the state stages, and is recorded at the
-    requested nodes; otherwise sens is None."""
+    f_x S + [0 | f_p] taken at the state stages, and sens[j] is S at node j;
+    otherwise sens is None."""
     global _step_count
     theta = np.asarray(theta, dtype=float)
     d, q = model.d, model.q
@@ -301,8 +287,7 @@ def _sweep(model: ModelSpec, theta: Array, grid: TimeGrid, request: Array | None
     # node-major and flat; a float trajectory is stored as raw doubles
     states = array("d", y) if floats else list(y)
     rhs, sens = model.rhs, None
-    pos = n_request = 0
-    if request is not None:
+    if tangent:
         model_rhs, jac_x, jac_p = model.rhs, model.jac_x, model.jac_p
 
         def rhs(t_s: float, y_s: list, params: list) -> tuple:
@@ -314,11 +299,8 @@ def _sweep(model: ModelSpec, theta: Array, grid: TimeGrid, request: Array | None
         s = np.zeros((d, q))
         s[:, :d] = np.eye(d)
         y.append(s)
-        n_request = len(request)
-        sens = np.empty((n_request, d, q))
-        if n_request and request[0] == 0:
-            sens[0] = s
-            pos = 1
+        sens = np.empty((len(grid.nodes), d, q))
+        sens[0] = s
     nodes = grid.nodes.tolist()
     with np.errstate(all="ignore"):
         for j in range(len(nodes) - 1):
@@ -332,9 +314,8 @@ def _sweep(model: ModelSpec, theta: Array, grid: TimeGrid, request: Array | None
             if floats and not all(map(math.isfinite, x)):
                 raise DivergenceError(j + 1, nodes[j + 1])
             states.extend(x)
-            if pos < n_request and request[pos] == j + 1:
-                sens[pos] = y[d]
-                pos += 1
+            if tangent:
+                sens[j + 1] = y[d]
     if floats:
         states = np.array(states).reshape(len(nodes), d)
     else:
@@ -408,19 +389,18 @@ def integrate_loss_terms(model: ModelSpec, theta: Array, grid: TimeGrid, data) -
 
 
 def integrate_augmented_sensitivity(
-    model: ModelSpec, theta: Array, grid: TimeGrid, request_nodes: Array
-) -> tuple[Array, Array, Array]:
+    model: ModelSpec, theta: Array, grid: TimeGrid
+) -> tuple[Array, Array]:
     """Physical states plus the physical rows of the flow derivative.
 
     The lower (parameter) rows of the augmented sensitivity stay [0 I]
     forever, so only the top d x q block is propagated, as one more
-    component of the state sweep.  Returns (states (n_nodes, d), request,
-    sens_top (len(request), d, q)), where sens_top rows match
-    ``integrate_with_sensitivity`` on the augmented system.
+    component of the state sweep.  Returns (states (n_nodes, d), sens
+    (n_nodes, d, q)): sens[j] is bitwise the top d rows of
+    ``integrate_with_sensitivity`` on the augmented system at node j, and
+    sens[0] is [I | 0].
     """
-    request = _request(request_nodes, grid)
-    states, sens = _sweep(model, theta, grid, request)
-    return states, request, sens
+    return _sweep(model, theta, grid, tangent=True)
 
 
 def _adjoint_step(model: ModelSpec, t: float, h: float, x: list, params: list, chi: list) -> list:

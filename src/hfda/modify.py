@@ -6,10 +6,9 @@ All six schemes map an observation set to a smaller or displaced one:
   predetermined target times, leaving values untouched (observations pile up
   on shared times).
 * ``average_upper`` / ``average_nearest`` replace each group with one
-  superobservation at the target time whose value is the group mean; the
-  emitted weight records the member count (``harness.modify_data`` resets
-  it to one, so every fit and ``hfda modify`` treat the mean as an ordinary
-  observation).
+  superobservation at the target time whose value is the group mean, with
+  unit weight: every fit and ``hfda modify`` treat the mean as an ordinary
+  observation.
 * ``simple_random_sample`` / ``systematic_random_sample`` keep a subset of
   the observations unchanged, drawn by ``stochastic.draw_simple`` /
   ``draw_systematic`` (the draws the stochastic solvers use).
@@ -93,9 +92,7 @@ def _average(data: ObservationSet, predetermined: Array, assign) -> ObservationS
     sums = np.zeros((len(used), data.values.shape[1]))
     np.add.at(sums, group, data.values)
     counts = np.bincount(group).astype(float)
-    return ObservationSet(
-        times=predetermined[used], values=sums / counts[:, None], model=data.model, weights=counts
-    )
+    return ObservationSet(times=predetermined[used], values=sums / counts[:, None], model=data.model)
 
 
 def accumulate_upper(data: ObservationSet, predetermined: Array) -> ObservationSet:

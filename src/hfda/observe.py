@@ -8,9 +8,9 @@ per-observation losses (times their weights) over the whole record.
 
 The gradient of the objective with respect to the augmented initial
 condition is available two ways: by propagating the forward sensitivity
-matrix to every observation node, or by a single backward adjoint sweep with
-the per-observation loss gradients injected as impulses.  Both are exact
-derivatives of the discrete objective.
+matrix to every grid node and contracting it at each observation's node, or
+by a single backward adjoint sweep with the per-observation loss gradients
+injected as impulses.  Both are exact derivatives of the discrete objective.
 
 ``observations_csv_lines`` formats a record as CSV lines; this module opens
 no file, and the package reads no CSV back.
@@ -228,10 +228,6 @@ class ObservationSet:
             times=self.times[indices], values=self.values[indices], model=self.model, weights=w
         )
 
-    def replace_weights(self, weights: Array | float) -> "ObservationSet":
-        w = np.broadcast_to(np.asarray(weights, dtype=float), (len(self),)).copy()
-        return ObservationSet(times=self.times, values=self.values, model=self.model, weights=w)
-
 
 @dataclass(frozen=True)
 class GradientEvaluation:
@@ -356,26 +352,23 @@ def gradient(
     """Gradient of the objective with respect to theta.
 
     mode "forward" contracts every observation's loss gradient with the
-    propagated sensitivity of the physical state; mode "adjoint" injects the
-    same vectors as impulses into one backward sweep of the physical-block
-    adjoint.  The two agree to roundoff.
+    sensitivity of the physical state at its node, one term per observation;
+    mode "adjoint" injects the same vectors as impulses, summed per node,
+    into one backward sweep of the physical-block adjoint.  The two agree to
+    roundoff.
     """
     if mode not in DERIVATIVE_MODES:
         raise ValueError(f"unknown gradient mode {mode!r}")
     theta = np.asarray(theta, dtype=float)
     idx = grid.node_index(data.times)
     if mode == "forward":
-        states, request, sens_top = integrate_augmented_sensitivity(model, theta, grid, idx)
-    else:
-        states = integrate_augmented(model, theta, grid)
-    x_obs = states[idx]
+        states, sens = integrate_augmented_sensitivity(model, theta, grid)
+        grad = np.einsum("iaq,ia->q", sens[idx], _weighted_loss_grads(data, states[idx]))
+        return GradientEvaluation(grad=grad)
+    states = integrate_augmented(model, theta, grid)
     impulses = np.zeros((len(grid.nodes), model.d))  # summed over observations sharing a node
-    np.add.at(impulses, idx, _weighted_loss_grads(data, x_obs))
-    if mode == "forward":
-        grad = np.einsum("riq,ri->q", sens_top, impulses[request])
-    else:
-        grad = integrate_adjoint(model, theta, grid, states, impulses)
-    return GradientEvaluation(grad=grad)
+    np.add.at(impulses, idx, _weighted_loss_grads(data, states[idx]))
+    return GradientEvaluation(grad=integrate_adjoint(model, theta, grid, states, impulses))
 
 
 def observations_csv_lines(data: ObservationSet) -> list[str]:

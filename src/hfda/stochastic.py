@@ -197,20 +197,16 @@ def residual_system(
 ) -> ResidualSystem:
     """Assemble the residual system at theta for the sampled observations,
     weighted as in ``stochastic_gradient``; with no sample, for all of
-    ``data`` as it is."""
+    ``data`` as it is.  Each observation's block of r and D comes from the
+    state and the sensitivity at its own grid node."""
     sub = data if sample is None else data.subset(sample.indices, weight_scale=1.0 / sample.pi)
     obs = sub.model
     node_idx = grid.node_index(sub.times)
 
-    states, request, sens_top = integrate_augmented_sensitivity(
-        model, np.asarray(theta, dtype=float), grid, node_idx
-    )
-    x_obs = states[node_idx]
-    r = (sub.values - x_obs @ obs.h_matrix.T).reshape(-1)
-
+    states, sens = integrate_augmented_sensitivity(model, np.asarray(theta, dtype=float), grid)
+    r = (sub.values - states[node_idx] @ obs.h_matrix.T).reshape(-1)
     # rows of H x_theta restricted to the physical block, per sampled time
-    hx = obs.h_matrix @ sens_top[np.searchsorted(request, node_idx)]  # (m, n, q)
-    d_matrix = hx.reshape(-1, model.q)
+    d_matrix = (obs.h_matrix @ sens[node_idx]).reshape(-1, model.q)  # (m n, q)
 
     w_inv_blocks = sub.weights[:, None, None] * obs.v_inv  # per-block multiplier on V^-1
     return ResidualSystem(r=r, d_matrix=d_matrix, w_inv_blocks=w_inv_blocks)

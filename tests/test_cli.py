@@ -138,8 +138,7 @@ def test_modify_subcommand_row_count(tmp_path):
 
 
 def test_modify_writes_the_weights_every_fit_applies(tmp_path):
-    # averaging emits member counts; the written data carry the unit weights
-    # the loss uses
+    # averaged observations carry the unit weights the loss uses
     path = write_config(tmp_path, SMALL_FN)
     out = tmp_path / "mod"
     argv = ["modify", "--config", str(path), "--output-dir", str(out)]

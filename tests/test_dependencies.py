@@ -144,8 +144,11 @@ def test_unread_fields_are_flagged():
 
 
 # fields that only readers outside the package use: the record numbers of a
-# trace, and the trajectory a sensitivity run integrates (test oracles both)
-READ_OUTSIDE_THE_PACKAGE = {"RunTrace.iteration", "SensitivityTrajectory.base"}
+# trace, and the trajectory and derivatives a sensitivity run integrates
+# (test oracles all)
+READ_OUTSIDE_THE_PACKAGE = {
+    "RunTrace.iteration", "SensitivityTrajectory.base", "SensitivityTrajectory.sens"
+}
 
 
 def test_every_dataclass_field_is_read():
@@ -228,4 +231,4 @@ def test_output_files_are_written_by_write_lines_alone():
         for path in sorted(package.glob("*.py"))
         for name in _file_writers(path.read_text())
     }
-    assert writers == {"harness.write_lines", "harness.reference_minimizer", "kernel._compile"}
+    assert writers == {"harness.write_lines", "harness._fit_reference", "kernel._compile"}

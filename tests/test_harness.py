@@ -259,6 +259,15 @@ def test_study_status_says_whether_a_fit_converged(small_config, monkeypatch):
     assert status == "max_iter(damping_rel=0.0001)"
 
 
+def test_study_none_row_reports_the_reference_fit_status(small_config):
+    # one potp and two iterations per scheme fit keep the study small
+    quick = dataclasses.replace(small_config, table1_potps=(0.1,), table1_max_iter=2)
+    capped = dataclasses.replace(quick, ref_max_iter=1)  # its own cache key, never cached
+    for config, status in ((capped, "max_iter"), (quick, "ok")):
+        none_row = harness.run_table1_study(config, write_csv=False).rows[0]
+        assert (none_row.scheme, none_row.status) == ("none", status)
+
+
 def test_run_checks_catch_corrupted_jacobian(fn_corrupted_jac_x):
     disc = check_model_jacobians(fn_corrupted_jac_x, seed=3)
     assert disc > 1e-5  # the finite-difference check must flag it

@@ -222,7 +222,6 @@ def test_fast_paths_diverge_where_the_generic_oracle_does(sweep_paths):
     system = augment(model)
     grid = build_grid(model.t_span, 1.5, np.empty(0))
     theta = model.theta_ref()
-    end = [grid.n_steps]
     data = ObservationSet(
         times=grid.nodes[1:], values=np.zeros((grid.n_steps, 2)), model=identity_observation(2, 0.1)
     )
@@ -230,8 +229,8 @@ def test_fast_paths_diverge_where_the_generic_oracle_does(sweep_paths):
         lambda: integrate(system, theta, grid),
         lambda: integrate_augmented(model, theta, grid),
         lambda: integrate_loss_terms(model, theta, grid, data),
-        lambda: integrate_with_sensitivity(system, theta, grid, end),
-        lambda: integrate_augmented_sensitivity(model, theta, grid, end),
+        lambda: integrate_with_sensitivity(system, theta, grid),
+        lambda: integrate_augmented_sensitivity(model, theta, grid),
     ]
     for path in sweep_paths:
         outcomes = []
@@ -352,8 +351,8 @@ def test_models_run_compiled_where_a_compiler_is_found(name, monkeypatch):
 def test_sensitivity_identity_at_t0():
     system = LinearSystem(np.diag([1.0, -2.0]))
     grid = build_grid((0.0, 1.0), 0.1, np.empty(0))
-    sens = integrate_with_sensitivity(system, np.ones(2), grid, [0, 5])
-    assert np.array_equal(sens.sens_at(0), np.eye(2))
+    sens = integrate_with_sensitivity(system, np.ones(2), grid)
+    assert np.array_equal(sens.sens[0], np.eye(2))
 
 
 def test_sensitivity_matches_matrix_exponential():
@@ -362,9 +361,9 @@ def test_sensitivity_matches_matrix_exponential():
     system = LinearSystem(a)
     t_end = 2.0
     grid = build_grid((0.0, t_end), t_end / 512, np.empty(0))
-    sens = integrate_with_sensitivity(system, rng.standard_normal(4), grid, [grid.n_steps])
+    sens = integrate_with_sensitivity(system, rng.standard_normal(4), grid)
     oracle = expm(t_end * a)
-    rel = np.linalg.norm(sens.sens_at(grid.n_steps) - oracle) / np.linalg.norm(oracle)
+    rel = np.linalg.norm(sens.sens[grid.n_steps] - oracle) / np.linalg.norm(oracle)
     assert rel <= 1e-8
 
 
@@ -373,8 +372,8 @@ def test_sensitivity_matches_finite_difference_of_integrate():
     system = augment(model)
     grid = build_grid((0.0, 10.0), 0.25, np.empty(0))
     theta = model.theta_ref()
-    sens = integrate_with_sensitivity(system, theta, grid, [grid.n_steps])
-    x_theta = sens.sens_at(grid.n_steps)
+    sens = integrate_with_sensitivity(system, theta, grid)
+    x_theta = sens.sens[grid.n_steps]
     for j in range(model.q):
         e = np.zeros(model.q)
         e[j] = 1e-6 * (1.0 + abs(theta[j]))
@@ -386,43 +385,23 @@ def test_sensitivity_matches_finite_difference_of_integrate():
 
 
 def test_augmented_sensitivity_is_top_block():
-    model = get_model("lotka_volterra")
-    system = augment(model)
-    grid = build_grid((0.0, 4.0), 0.2, np.empty(0))
-    theta = model.theta_ref() * 0.9
-    request = [0, 7, grid.n_steps]
-    full = integrate_with_sensitivity(system, theta, grid, request)
-    states, req, top = integrate_augmented_sensitivity(model, theta, grid, request)
-    assert np.array_equal(req, np.asarray(request))
-    for pos, node in enumerate(request):
-        assert np.array_equal(full.sens_at(node)[: model.d], top[pos])
-    assert np.array_equal(full.base.states[:, : model.d], states)
-
-
-def test_sensitivity_requests_are_sorted_unique_grid_nodes():
-    model = get_model("lotka_volterra")
-    system = augment(model)
-    grid = build_grid((0.0, 4.0), 0.2, np.empty(0))
-    theta = model.theta_ref()
-    n = grid.n_steps
-
-    def generic(nodes):
-        sens = integrate_with_sensitivity(system, theta, grid, nodes)
-        return sens.request, sens.sens
-
-    def fast(nodes):
-        _, request, sens = integrate_augmented_sensitivity(model, theta, grid, nodes)
-        return request, sens
-
-    for sweep in (generic, fast):
-        request, sens = sweep([n, 7, 0, 7])
-        sorted_request, sorted_sens = sweep([0, 7, n])
-        assert np.array_equal(request, [0, 7, n])
-        assert np.array_equal(request, sorted_request)
-        assert np.array_equal(sens, sorted_sens)
-        for outside in ([-1], [n + 1]):
-            with pytest.raises(ValueError):
-                sweep(outside)
+    # at every node, on a regular grid and on one with inserted times
+    grids = [
+        build_grid((0.0, 4.0), 0.2, np.empty(0)),
+        build_grid((0.0, 3.0), 0.25, np.array([0.1, 0.6, 1.3, 2.95])),
+    ]
+    for name in ("lotka_volterra", "van_der_pol"):
+        model = get_model(name)
+        system = augment(model)
+        theta = model.theta_ref() * 0.9
+        for grid in grids:
+            full = integrate_with_sensitivity(system, theta, grid)
+            states, top = integrate_augmented_sensitivity(model, theta, grid)
+            assert full.sens.shape == (len(grid.nodes), model.q, model.q)
+            assert top.shape == (len(grid.nodes), model.d, model.q)
+            assert np.array_equal(top[0], np.eye(model.d, model.q))  # [I | 0]
+            assert np.array_equal(full.sens[:, : model.d], top)
+            assert np.array_equal(full.base.states[:, : model.d], states)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +441,7 @@ def test_model_calls_per_step(monkeypatch):
     sweeps = {
         "state": (lambda: integrate_augmented(model, theta, grid), 4, 0),
         "batch": (lambda: integrate_augmented(model, np.stack([theta, 1.01 * theta]), grid), 4, 0),
-        "sensitivity": (lambda: integrate_augmented_sensitivity(model, theta, grid, [n]), 4, 8),
+        "sensitivity": (lambda: integrate_augmented_sensitivity(model, theta, grid), 4, 8),
         "adjoint": (
             lambda: integrate_adjoint(model, theta, grid, states, _final_impulse(grid, model.d, 1.0)),
             3,
@@ -494,9 +473,9 @@ def test_every_python_forward_step_is_one_stages_call(monkeypatch):
     theta = model.theta_ref()
     runs = {
         "integrate": lambda: integrate(system, theta, grid),
-        "integrate_with_sensitivity": lambda: integrate_with_sensitivity(system, theta, grid, [n]),
+        "integrate_with_sensitivity": lambda: integrate_with_sensitivity(system, theta, grid),
         "state": lambda: integrate_augmented(model, theta, grid),
-        "sensitivity": lambda: integrate_augmented_sensitivity(model, theta, grid, [n]),
+        "sensitivity": lambda: integrate_augmented_sensitivity(model, theta, grid),
     }
     for name, run in runs.items():
         calls.clear()
@@ -559,10 +538,10 @@ def test_adjoint_transposes_forward_sensitivity():
     impulses = np.zeros((len(grid.nodes), model.d))
     impulses[nodes] = rng.standard_normal((len(nodes), model.d))
 
-    sens = integrate_with_sensitivity(system, theta, grid, nodes)
+    sens = integrate_with_sensitivity(system, theta, grid)
     forward = np.zeros(model.q)
     for j in nodes:
-        forward += sens.sens_at(j)[: model.d].T @ impulses[j]
+        forward += sens.sens[j, : model.d].T @ impulses[j]
     states = sens.base.states[:, : model.d]
     backward = integrate_adjoint(model, theta, grid, states, impulses)
     assert np.linalg.norm(forward - backward) <= 1e-8 * (1.0 + np.linalg.norm(forward))

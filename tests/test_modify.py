@@ -88,7 +88,7 @@ def test_average_upper_means_and_counts():
     out = average_upper(data, np.array([5.0, 10.0]))
     assert np.array_equal(out.times, [5.0, 10.0])
     assert np.array_equal(out.values[:, 0], [3.0, 8.0])  # mean(1..5), mean(6..10)
-    assert np.array_equal(out.weights, [5.0, 5.0])
+    assert np.array_equal(out.weights, [1.0, 1.0])
 
 
 def test_average_constant_values_stay_constant():
@@ -107,17 +107,18 @@ def test_average_singleton_groups_identity_on_values():
 def test_average_nearest_group_sizes():
     data = toy_data()
     out = average_nearest(data, np.array([5.0, 10.0]))
-    assert np.array_equal(out.weights, [7.0, 3.0])
-    assert np.isclose(out.values[0, 0], np.mean(np.arange(1.0, 8.0)))
-    assert np.isclose(out.values[1, 0], np.mean([8.0, 9.0, 10.0]))
+    # mean(1..7) and mean(8..10): the groups hold 7 and 3 observations
+    assert np.array_equal(out.values[:, 0], [4.0, 9.0])
+    assert np.array_equal(out.weights, [1.0, 1.0])
 
 
 def test_average_nearest_partition_matches_accumulate_nearest():
     data = toy_data()
     acc = accumulate_nearest(data, np.array([5.0, 10.0]))
     avg = average_nearest(data, np.array([5.0, 10.0]))
-    counts = {t: int(np.sum(acc.times == t)) for t in np.unique(acc.times)}
-    assert counts == {t: int(w) for t, w in zip(avg.times, avg.weights)}
+    assert np.array_equal(avg.times, np.unique(acc.times))
+    means = [acc.values[acc.times == t].mean(axis=0) for t in avg.times]
+    assert np.array_equal(avg.values, means)
 
 
 def test_average_skips_empty_intervals():
@@ -129,9 +130,13 @@ def test_average_skips_empty_intervals():
 def test_averaging_conserves_member_counts(fn_small):
     _, data, _ = fn_small
     targets = default_predetermined((0.0, 5.0), 0.05, 0.1)
-    for fn in (average_upper, average_nearest):
-        out = fn(data, targets)
-        assert np.sum(out.weights) == len(data)
+    pairs = ((average_upper, accumulate_upper), (average_nearest, accumulate_nearest))
+    for average, accumulate in pairs:
+        out = average(data, targets)
+        acc = accumulate(data, targets)  # every observation, at its group's time
+        assert np.array_equal(out.times, np.unique(acc.times))
+        means = [acc.values[acc.times == t].mean(axis=0) for t in out.times]
+        assert np.allclose(out.values, means, rtol=1e-12, atol=0.0)
 
 
 def _average_by_group_loop(data, predetermined, assign):
@@ -139,8 +144,7 @@ def _average_by_group_loop(data, predetermined, assign):
     target = assign(data.times, predetermined)
     used = np.unique(target)
     values = np.array([data.values[target == j].mean(axis=0) for j in used])
-    counts = np.array([np.sum(target == j) for j in used], dtype=float)
-    return predetermined[used], values, counts
+    return predetermined[used], values
 
 
 @pytest.mark.parametrize(
@@ -159,12 +163,13 @@ def test_average_matches_a_per_group_loop(average, assign):
     values = rng.standard_normal((len(times), 2)) * rng.uniform(0.1, 100.0, (len(times), 1))
     data = ObservationSet(times=times, values=values, model=obs)
     out = average(data, predetermined)
-    ref_times, ref_values, ref_counts = _average_by_group_loop(data, predetermined, assign)
+    ref_times, ref_values = _average_by_group_loop(data, predetermined, assign)
     assert np.array_equal(out.times, ref_times)
     assert np.array_equal(out.values, ref_values)
-    assert np.array_equal(out.weights, ref_counts)
-    if average is average_upper:
-        assert np.array_equal(out.weights, sizes)
+    assert np.array_equal(out.weights, np.ones(len(out)))
+    if average is average_upper:  # the groups are the generated windows
+        windows = np.split(values, np.cumsum(sizes)[:-1])
+        assert np.array_equal(out.values, [w.mean(axis=0) for w in windows])
 
 
 # ---------------------------------------------------------------------------

@@ -293,7 +293,7 @@ def test_gradient_zero_at_truth_noiseless(fn_small_noiseless):
 def test_weights_scale_objective_terms(fn_small):
     model, data, problem = fn_small
     theta = model.theta_ref() * 1.01
-    doubled = data.replace_weights(2.0 * data.weights)
+    doubled = dataclasses.replace(data, weights=2.0 * data.weights)
     v1 = objective(model, theta, data, problem.grid)
     v2 = objective(model, theta, doubled, problem.grid)
     assert np.isclose(v2, 2.0 * v1, rtol=1e-14)
@@ -410,14 +410,15 @@ def _loss_parity_cases(model):
     2 x 2 operator with correlated noise."""
     rng = np.random.default_rng(11)
     data = simulate_observations(model, model.params_ref, identity_observation(2, 0.1), 0.1, seed=7)
-    weighted = data.replace_weights(rng.uniform(0.5, 2.0, len(data)))
+    weighted = dataclasses.replace(data, weights=rng.uniform(0.5, 2.0, len(data)))
     accumulated = accumulate_upper(weighted, np.array([1.0, 2.0, 3.0, 4.0]))
     assert len(accumulated.distinct_times()) == 4 < len(accumulated)
     projected = ObservationModel(np.array([[0.7, -0.4]]), np.array([[0.05]]))
     correlated = ObservationModel(np.array([[1.0, 0.3], [-0.2, 0.8]]), np.array([[0.04, 0.01], [0.01, 0.02]]))
     others = [
-        simulate_observations(model, model.params_ref, obs, 0.1, seed=8).replace_weights(
-            rng.uniform(0.5, 2.0, len(data))
+        dataclasses.replace(
+            simulate_observations(model, model.params_ref, obs, 0.1, seed=8),
+            weights=rng.uniform(0.5, 2.0, len(data)),
         )
         for obs in (projected, correlated)
     ]
@@ -499,6 +500,41 @@ def test_objective_many_is_bitwise_unchanged(name, sweep_paths):
             values = problem.objective_many(model.theta_ref() * (1.0 + 0.05 * z))
             digest = hashlib.sha256(values.tobytes()).hexdigest()
             assert digest == SEED_1234_OBJECTIVE_MANY_SHA256[name, k], (path, k)
+
+
+# sha256 of the forward-mode derivatives at theta_ref on the seed-1234 data
+# of each shipped config: ``gradient(...).grad``, then the residual system's
+# r and d_matrix (C order), captured while the tangent was still recorded
+# only at requested nodes.  The tangent's matrix products run in BLAS, so
+# grad and d_matrix hold these bits under the OpenBLAS Haswell kernel and
+# change under another (OPENBLAS_CORETYPE=Prescott; ROADMAP item 4)
+SEED_1234_FORWARD_SHA256 = {
+    "fitzhugh_nagumo": (
+        "76568cbc64268c79c06e2f0ad0a8669c591e0d65b486802bb4275ce2de56f51f",
+        "fec5cd5c2576492b102de993a50cc269774e7926bf212516b21d0f45c13682a8",
+        "2e8e12e125b409ce5e65b5cb4bead7131ba108e1ab2e71f4b3766ae264ea006d",
+    ),
+    "lotka_volterra": (
+        "77999dd04dec8f17b30328cc7693cbbe37fa60225511e665cb5e47bc3f50811c",
+        "579d45ed925a182e13e2a0cce0a5c9b81c5d9c3ec1637ff50391a107051ab82d",
+        "58f44144b7a0dc9fd5cda5b4e116682553a27a357a18ff23bc4d762e46c1afed",
+    ),
+    "van_der_pol": (
+        "9897e8514b891076f706e3a434bd88e166d3d2108c41c65e0fb31c7d05730f8c",
+        "0285f17b2c3d8c403969983f72f78e7d46cddf243b859061b209b2d415da5aa7",
+        "8a9806f747c82a5a3a2b6925c997114820b3f41ef070111e48acb4d2116b59fa",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_forward_derivatives_are_bitwise_unchanged(name):
+    model, problem = _seed_1234_problem(name)
+    theta = model.theta_ref()
+    rs = problem.residual_system(theta)
+    arrays = (problem.gradient(theta).grad, rs.r, rs.d_matrix)
+    digests = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in arrays)
+    assert digests == SEED_1234_FORWARD_SHA256[name]
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)

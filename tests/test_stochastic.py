@@ -258,8 +258,7 @@ def test_residual_rows_on_shared_times_follow_each_observation_node(fn_small):
 
     nodes = problem.grid.node_index(shared.times[sample.indices])
     assert len(np.unique(nodes)) < len(nodes)  # several sampled rows per node
-    every_node = np.arange(len(problem.grid.nodes))
-    states, _, sens = integrate_augmented_sensitivity(model, theta, problem.grid, every_node)
+    states, sens = integrate_augmented_sensitivity(model, theta, problem.grid)
     h_matrix = shared.model.h_matrix
     expected_r = [shared.values[i] - h_matrix @ states[j] for i, j in zip(sample.indices, nodes)]
     assert np.array_equal(rs.r, np.concatenate(expected_r))
