@@ -18,7 +18,6 @@ from .dynamics import (
 )
 from .integrate import (
     DivergenceError,
-    SensitivityTrajectory,
     TimeGrid,
     Trajectory,
     build_grid,

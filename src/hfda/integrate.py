@@ -6,7 +6,9 @@ the tableau arithmetic on a list of components.  The generic loop,
 component and is the reference oracle for the model path;
 ``integrate_with_sensitivity`` is ``integrate`` on the variational
 system, whose Jacobian is evaluated at the Runge-Kutta stage states, which
-makes the propagated matrix the exact derivative of the discrete flow map.
+makes the propagated matrix the exact derivative of the discrete flow map;
+it returns the plain ``(states, sens)`` arrays, as
+``integrate_augmented_sensitivity`` does.
 
 The model-path loops step only the physical block of a ``ModelSpec``, one
 trajectory on Python floats (numpy's per-operation overhead would dominate
@@ -178,21 +180,7 @@ def grid_from_times(t0: float, times: Array) -> TimeGrid:
 class Trajectory:
     """States at every grid node; states[j] corresponds to grid.nodes[j]."""
 
-    grid: TimeGrid
     states: Array
-
-
-@dataclass(frozen=True)
-class SensitivityTrajectory:
-    """Trajectory plus d(state)/d(initial state); sens[j] corresponds to
-    grid.nodes[j]."""
-
-    base: Trajectory
-    sens: Array  # (n_nodes, q, q)
-
-
-def _rhs_of(system):
-    return system if callable(system) else system.rhs
 
 
 def integrate(system, z0: Array, grid: TimeGrid) -> Trajectory:
@@ -203,7 +191,7 @@ def integrate(system, z0: Array, grid: TimeGrid) -> Trajectory:
     aborts with ``DivergenceError`` at the first non-finite state.
     """
     global _step_count
-    system_rhs = _rhs_of(system)
+    system_rhs = system if callable(system) else system.rhs
 
     def rhs(t, x, params):  # the whole array is the one component of _stages
         return (system_rhs(t, x[0]),)
@@ -222,18 +210,18 @@ def integrate(system, z0: Array, grid: TimeGrid) -> Trajectory:
             if not np.all(np.isfinite(z)):
                 raise DivergenceError(j + 1, float(nodes[j + 1]))
             states[j + 1] = z
-    return Trajectory(grid=grid, states=states)
+    return Trajectory(states)
 
 
-def integrate_with_sensitivity(system, z0: Array, grid: TimeGrid) -> SensitivityTrajectory:
-    """Advance the state and its derivative with respect to z0 together.
+def integrate_with_sensitivity(system, z0: Array, grid: TimeGrid) -> tuple[Array, Array]:
+    """States (n_nodes, q) and their derivative with respect to z0,
+    sens (n_nodes, q, q), at every grid node.
 
     This is ``integrate`` on the variational system (z, X)' = (F(z), J(z) X)
     from (z0, I), X flattened into the state.  Runge-Kutta stages of that
     system evaluate the Jacobian at the stage states of z, so X at every
-    node is the exact derivative of the discrete flow; ``sens`` is the
-    (n_nodes, q, q) view of it.  A non-finite entry of z or X raises
-    ``DivergenceError``.
+    node is the exact derivative of the discrete flow.  A non-finite entry
+    of z or X raises ``DivergenceError``.
     """
     rhs, jac = system.rhs, system.jac
     z0 = np.asarray(z0, dtype=float)
@@ -244,8 +232,7 @@ def integrate_with_sensitivity(system, z0: Array, grid: TimeGrid) -> Sensitivity
         return np.concatenate([rhs(t, z), (jac(t, z) @ y[q:].reshape(q, q)).ravel()])
 
     states = integrate(variational, np.concatenate([z0, np.eye(q).ravel()]), grid).states
-    sens = states[:, q:].reshape(-1, q, q)
-    return SensitivityTrajectory(Trajectory(grid, states[:, :q]), sens)
+    return states[:, :q], states[:, q:].reshape(-1, q, q)
 
 
 def _stages(rhs, t: float, h: float, x: list, params: list, advance: bool = True):

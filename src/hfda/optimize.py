@@ -185,7 +185,9 @@ def _run_loop(theta0, step, budget, max_iter, record_every, gtol=0.0):
     """Drive a solver step function under budget/iteration/convergence caps.
 
     ``step(k, theta) -> (theta_new, grad_norm)`` performs all timed work;
-    grad_norm may be None for solvers without a convergence test.
+    grad_norm may be None for solvers without a convergence test.  A step
+    that fails (diverges, or returns a non-finite theta) is not counted and
+    ends the run as "divergence".
     """
     if budget <= 0 and max_iter <= 0:
         raise ValueError("either budget or max_iter must be positive")
@@ -203,19 +205,15 @@ def _run_loop(theta0, step, budget, max_iter, record_every, gtol=0.0):
         t_start = time.perf_counter()
         try:
             theta_new, grad_norm = step(k, theta)
-        except DivergenceError:
-            terminated = "divergence"
-            break
-        except SolverError:
-            if k == 0:
+        except (DivergenceError, SolverError) as err:
+            if k == 0 and isinstance(err, SolverError):
                 raise  # configuration problem, nothing useful to return
+            theta_new = np.nan  # ends the run as a non-finite iterate does
+        if not np.all(np.isfinite(theta_new)):
             terminated = "divergence"
             break
         solver_time += time.perf_counter() - t_start
         k += 1
-        if not np.all(np.isfinite(theta_new)):
-            terminated = "divergence"
-            break
         theta = theta_new
         if k % record_every == 0:
             wall.append(solver_time)

@@ -144,11 +144,8 @@ def test_unread_fields_are_flagged():
 
 
 # fields that only readers outside the package use: the record numbers of a
-# trace, and the trajectory and derivatives a sensitivity run integrates
-# (test oracles all)
-READ_OUTSIDE_THE_PACKAGE = {
-    "RunTrace.iteration", "SensitivityTrajectory.base", "SensitivityTrajectory.sens"
-}
+# trace
+READ_OUTSIDE_THE_PACKAGE = {"RunTrace.iteration"}
 
 
 def test_every_dataclass_field_is_read():

@@ -351,8 +351,8 @@ def test_models_run_compiled_where_a_compiler_is_found(name, monkeypatch):
 def test_sensitivity_identity_at_t0():
     system = LinearSystem(np.diag([1.0, -2.0]))
     grid = build_grid((0.0, 1.0), 0.1, np.empty(0))
-    sens = integrate_with_sensitivity(system, np.ones(2), grid)
-    assert np.array_equal(sens.sens[0], np.eye(2))
+    _, sens = integrate_with_sensitivity(system, np.ones(2), grid)
+    assert np.array_equal(sens[0], np.eye(2))
 
 
 def test_sensitivity_matches_matrix_exponential():
@@ -361,9 +361,9 @@ def test_sensitivity_matches_matrix_exponential():
     system = LinearSystem(a)
     t_end = 2.0
     grid = build_grid((0.0, t_end), t_end / 512, np.empty(0))
-    sens = integrate_with_sensitivity(system, rng.standard_normal(4), grid)
+    _, sens = integrate_with_sensitivity(system, rng.standard_normal(4), grid)
     oracle = expm(t_end * a)
-    rel = np.linalg.norm(sens.sens[grid.n_steps] - oracle) / np.linalg.norm(oracle)
+    rel = np.linalg.norm(sens[grid.n_steps] - oracle) / np.linalg.norm(oracle)
     assert rel <= 1e-8
 
 
@@ -372,8 +372,8 @@ def test_sensitivity_matches_finite_difference_of_integrate():
     system = augment(model)
     grid = build_grid((0.0, 10.0), 0.25, np.empty(0))
     theta = model.theta_ref()
-    sens = integrate_with_sensitivity(system, theta, grid)
-    x_theta = sens.sens[grid.n_steps]
+    _, sens = integrate_with_sensitivity(system, theta, grid)
+    x_theta = sens[grid.n_steps]
     for j in range(model.q):
         e = np.zeros(model.q)
         e[j] = 1e-6 * (1.0 + abs(theta[j]))
@@ -395,13 +395,13 @@ def test_augmented_sensitivity_is_top_block():
         system = augment(model)
         theta = model.theta_ref() * 0.9
         for grid in grids:
-            full = integrate_with_sensitivity(system, theta, grid)
+            full_states, full = integrate_with_sensitivity(system, theta, grid)
             states, top = integrate_augmented_sensitivity(model, theta, grid)
-            assert full.sens.shape == (len(grid.nodes), model.q, model.q)
+            assert full.shape == (len(grid.nodes), model.q, model.q)
             assert top.shape == (len(grid.nodes), model.d, model.q)
             assert np.array_equal(top[0], np.eye(model.d, model.q))  # [I | 0]
-            assert np.array_equal(full.sens[:, : model.d], top)
-            assert np.array_equal(full.base.states[:, : model.d], states)
+            assert np.array_equal(full[:, : model.d], top)
+            assert np.array_equal(full_states[:, : model.d], states)
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +538,11 @@ def test_adjoint_transposes_forward_sensitivity():
     impulses = np.zeros((len(grid.nodes), model.d))
     impulses[nodes] = rng.standard_normal((len(nodes), model.d))
 
-    sens = integrate_with_sensitivity(system, theta, grid)
+    states, sens = integrate_with_sensitivity(system, theta, grid)
     forward = np.zeros(model.q)
     for j in nodes:
-        forward += sens.sens[j, : model.d].T @ impulses[j]
-    states = sens.base.states[:, : model.d]
+        forward += sens[j, : model.d].T @ impulses[j]
+    states = states[:, : model.d]
     backward = integrate_adjoint(model, theta, grid, states, impulses)
     assert np.linalg.norm(forward - backward) <= 1e-8 * (1.0 + np.linalg.norm(forward))
 

@@ -6,6 +6,7 @@ import pytest
 from hfda import optimize
 from hfda.dynamics import linear_system
 from hfda.harness import ExperimentConfig, build_data, build_problem, resolve_theta0
+from hfda.integrate import DivergenceError
 from hfda.observe import GradientEvaluation, identity_observation, simulate_observations
 from hfda.optimize import (
     KsgdState,
@@ -127,6 +128,46 @@ def test_gd_divergence_detection():
     trace = run_gd(QuadraticProblem(a), np.ones(2), StepSchedule("constant", 1e12), max_iter=400)
     assert trace.terminated_by == "divergence"
     assert np.all(np.isfinite(trace.thetas))
+
+
+class FailingProblem(QuadraticProblem):
+    """A quadratic whose gradient fails on call ``at``: it raises
+    ``DivergenceError``, or returns NaN."""
+
+    def __init__(self, a, at, raises):
+        super().__init__(a)
+        self.at, self.raises, self.calls = at, raises, 0
+
+    def gradient(self, theta):
+        k, self.calls = self.calls, self.calls + 1
+        if k != self.at:
+            return super().gradient(theta)
+        if self.raises:
+            raise DivergenceError(0, 0.0)
+        return GradientEvaluation(grad=np.full_like(theta, np.nan))
+
+
+@pytest.mark.parametrize("record_every", [1, 2])
+@pytest.mark.parametrize("at", [0, 3])
+def test_gd_nonfinite_iterate_ends_as_divergence_error(at, record_every):
+    # a step with a non-finite iterate never completed, as one that raised
+    traces = [
+        run_gd(
+            FailingProblem(np.eye(2), at, raises),
+            np.ones(2),
+            StepSchedule("constant", 0.1),
+            max_iter=10,
+            record_every=record_every,
+        )
+        for raises in (True, False)
+    ]
+    for trace in traces:
+        assert trace.terminated_by == "divergence"
+        assert trace.n_iterations == at
+        assert trace.iteration[-1] == at
+    raised, nonfinite = traces
+    assert np.array_equal(raised.iteration, nonfinite.iteration)
+    assert np.array_equal(raised.thetas, nonfinite.thetas)
 
 
 def test_gd_convergence_stopping():
