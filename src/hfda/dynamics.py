@@ -2,9 +2,9 @@
 
 Each model is a ``ModelSpec``: a right-hand side f(t, x, params) with analytic
 Jacobians with respect to the state and the parameters, a baseline initial
-state, and a reference parameter vector.  ``augment`` folds the parameters
-into the initial condition, turning parameter estimation into the problem of
-choosing the initial value of an enlarged state vector.
+state of size d and a reference parameter vector of size p.  ``augment``
+folds the parameters into the initial condition, turning parameter estimation
+into the problem of choosing the initial value of an enlarged state vector.
 
 Model functions are component-wise: ``x`` is a sequence of d components and
 ``params`` a sequence of p components, each a float or an array, all of one
@@ -16,7 +16,7 @@ last-axis ``(..., d)`` arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 from typing import Callable, Sequence
 
@@ -32,38 +32,38 @@ class ModelSpec:
 
     Attributes:
         name: registry identifier.
-        d: state dimension.
-        p: parameter dimension.
         rhs: (t, x, params) -> dx/dt as d components.
         jac_x: (t, x, params) -> df/dx as d rows of d components.
         jac_p: (t, x, params) -> df/dparams as d rows of p components.
         x0: baseline initial state, shape (d,).
         params_ref: reference ("true") parameter vector, shape (p,).
         t_span: integration interval (t0, t_end).
+        d: state dimension, the size of ``x0``.
+        p: parameter dimension, the size of ``params_ref``.
     """
 
     name: str
-    d: int
-    p: int
     rhs: Callable[[float, Components, Components], tuple]
     jac_x: Callable[[float, Components, Components], tuple]
     jac_p: Callable[[float, Components, Components], tuple]
     x0: Array
     params_ref: Array
     t_span: tuple[float, float]
+    d: int = field(init=False)
+    p: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.d < 1 or self.p < 1:
-            raise ValueError("model dimensions must satisfy d >= 1 and p >= 1")
         t0, t_end = self.t_span
         if not t_end > t0:
             raise ValueError("t_span must satisfy t_end > t0")
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
-        object.__setattr__(self, "params_ref", np.asarray(self.params_ref, dtype=float))
-        if self.x0.shape != (self.d,):
-            raise ValueError(f"x0 must have shape ({self.d},)")
-        if self.params_ref.shape != (self.p,):
-            raise ValueError(f"params_ref must have shape ({self.p},)")
+        x0 = np.asarray(self.x0, dtype=float)
+        params_ref = np.asarray(self.params_ref, dtype=float)
+        if x0.ndim != 1 or params_ref.ndim != 1 or not x0.size or not params_ref.size:
+            raise ValueError("x0 and params_ref must be non-empty vectors")
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "params_ref", params_ref)
+        object.__setattr__(self, "d", x0.size)
+        object.__setattr__(self, "p", params_ref.size)
 
     @property
     def q(self) -> int:
@@ -84,7 +84,10 @@ class AugmentedSystem:
     """
 
     model: ModelSpec
-    q: int
+
+    @property
+    def q(self) -> int:
+        return self.model.q
 
     def split(self, z: Array) -> tuple[Array, Array]:
         """Split an augmented state into (physical state, parameters)."""
@@ -151,7 +154,7 @@ def eval_jacobians(model: ModelSpec, t: float, x: Array, params: Array) -> tuple
 
 def augment(model: ModelSpec) -> AugmentedSystem:
     """Fold parameters into the state: z = (x, params), dz/dt = (f, 0)."""
-    return AugmentedSystem(model=model, q=model.q)
+    return AugmentedSystem(model)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +227,6 @@ def fitzhugh_nagumo() -> ModelSpec:
     """Relaxation oscillator for neuronal excitability; params (ii, a, b, tau)."""
     return ModelSpec(
         name="fitzhugh_nagumo",
-        d=2,
-        p=4,
         rhs=_fn_rhs,
         jac_x=_fn_jac_x,
         jac_p=_fn_jac_p,
@@ -239,8 +240,6 @@ def lotka_volterra() -> ModelSpec:
     """Predator-prey model; params (alpha, beta, delta, gamma)."""
     return ModelSpec(
         name="lotka_volterra",
-        d=2,
-        p=4,
         rhs=_lv_rhs,
         jac_x=_lv_jac_x,
         jac_p=_lv_jac_p,
@@ -254,8 +253,6 @@ def van_der_pol() -> ModelSpec:
     """Relaxation oscillator in first-order form; scalar damping parameter mu."""
     return ModelSpec(
         name="van_der_pol",
-        d=2,
-        p=1,
         rhs=_vdp_rhs,
         jac_x=_vdp_jac_x,
         jac_p=_vdp_jac_p,
@@ -275,8 +272,8 @@ def linear_system(a: Array, b: Array, x0: Array, t_span: tuple[float, float]) ->
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     d, p = b.shape
-    if a.shape != (d, d):
-        raise ValueError("A must be square and compatible with B")
+    if a.shape != (d, d) or np.shape(x0) != (d,):
+        raise ValueError("A must be square and compatible with B and x0")
 
     a_rows = tuple(map(tuple, a.tolist()))
     b_rows = tuple(map(tuple, b.tolist()))
@@ -295,8 +292,6 @@ def linear_system(a: Array, b: Array, x0: Array, t_span: tuple[float, float]) ->
 
     return ModelSpec(
         name="linear",
-        d=d,
-        p=p,
         rhs=rhs,
         jac_x=jac_x,
         jac_p=jac_p,

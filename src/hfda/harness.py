@@ -13,8 +13,8 @@ Reproduces two experiment shapes on regenerated synthetic data:
   objective to obtain error-versus-time traces.
 
 Both, and ``solve``, are lists of ``GridRow``s plus their writers.
-``run_grid`` runs every row alike: it builds the modified problem, runs the
-solver through ``run_solver`` and scores the iterates through G.
+``run_grid`` runs every row alike: it builds the modified problem from the
+baseline problem, runs ``run_solver`` and scores the iterates through G.
 
 All randomness flows from the experiment seed through named substreams
 (observation noise, scheme sampling, solver sampling, initial perturbation),
@@ -414,12 +414,10 @@ def reference_minimizer(
 
 @dataclass(frozen=True)
 class Baseline:
-    """What every run of a configuration shares: the unmodified data and
-    problem, the reference fit theta_hat with G(theta_hat) and its status,
-    and the start."""
+    """What every run of a configuration shares: the unmodified problem
+    (its ``model`` and ``data`` are the configuration's), the reference fit
+    theta_hat with G(theta_hat) and its status, and the start."""
 
-    model: ModelSpec
-    data: ObservationSet
     problem: Problem
     theta_hat: Array
     g_ref: float
@@ -433,7 +431,7 @@ def prepare_baseline(config: ExperimentConfig) -> Baseline:
     model, data = build_data(config)
     problem = build_problem(config, model, data)
     theta_hat, g_ref, status = _fit_reference(config, problem, Path(config.output_dir))
-    return Baseline(model, data, problem, theta_hat, g_ref, status, resolve_theta0(config, model))
+    return Baseline(problem, theta_hat, g_ref, status, resolve_theta0(config, model))
 
 
 @dataclass(frozen=True)
@@ -593,7 +591,7 @@ def run_grid(config: ExperimentConfig, base: Baseline, rows) -> tuple[RaceRun, .
     for row in rows:
         problem = base.problem
         if row.scheme != "none":
-            problem = build_problem(config, base.model, base.data, row.scheme, row.potp)
+            problem = build_problem(config, problem.model, problem.data, row.scheme, row.potp)
         trace, hyper, status = _fit(config, row, problem)
         scores = np.empty(0) if trace is None else _score(base.problem, base.theta_hat, trace.thetas)
         runs.append(RaceRun(row.label, row.solver, row.scheme, row.potp, trace, scores, hyper, status))
@@ -664,7 +662,7 @@ def run_table1_study(config: ExperimentConfig, write_csv: bool = True) -> Relati
     base = prepare_baseline(config)
     grid = [
         # the study scores only the final iterate, so it records no others
-        GridRow(f"gn_{kind}_{potp:g}", "gn", kind, potp, base.model.theta_ref(), 0.0,
+        GridRow(f"gn_{kind}_{potp:g}", "gn", kind, potp, base.problem.model.theta_ref(), 0.0,
                 config.table1_max_iter, config.table1_gtol, config.table1_max_iter, rescue=True)
         for kind in SCHEME_KINDS
         for potp in config.table1_potps
@@ -720,25 +718,26 @@ def run_budget_race(config: ExperimentConfig) -> RaceResult:
 # ---------------------------------------------------------------------------
 
 
-def _fd_jacobians(model: ModelSpec, t: float, x: Array, params: Array, step: float = 1e-6):
+def _fd_jacobians(model: ModelSpec, t: float, x: Array, params: Array):
     """Central finite differences of the right-hand side, one batched
     evaluation per perturbed block (row j of a batch shifts component j)."""
+    step = 1e-6
     ex, ep = step * np.eye(model.d), step * np.eye(model.p)
     fx = (eval_rhs(model, t, x + ex, params) - eval_rhs(model, t, x - ex, params)).T / (2 * step)
     fp = (eval_rhs(model, t, x, params + ep) - eval_rhs(model, t, x, params - ep)).T / (2 * step)
     return fx, fp
 
 
-def check_model_jacobians(model: ModelSpec, seed: int = 0, n_points: int = 100) -> float:
+def check_model_jacobians(model: ModelSpec, seed: int) -> float:
     """Worst relative discrepancy of the analytic Jacobians against central
-    differences over random points around the reference trajectory."""
+    differences at 100 random points around the reference trajectory."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     t0, t_end = model.t_span
     times = np.linspace(t0, t_end, 64)
     grid = grid_from_times(t0, times[1:])
     states = integrate_augmented(model, model.theta_ref(), grid)
     worst = 0.0
-    for _ in range(n_points):
+    for _ in range(100):
         node = int(rng.integers(len(grid.nodes)))
         t = float(grid.nodes[node])
         x = states[node] * (1.0 + 0.1 * rng.standard_normal(model.d))

@@ -7,10 +7,10 @@ solver estimates the whole augmented initial condition (physical initial
 state and parameters).
 
 All solvers produce a ``RunTrace``: per-iterate records of accumulated
-solver time, iteration number and the iterate.  Only
-solver work (integration, linear algebra, sampling) is timed; recording is
-excluded, so budgeted runs can be replayed and measured afterwards without
-polluting the budget.
+solver time, iteration number and the iterate, the last iterate always
+among them.  Only solver work (integration, linear algebra, sampling) is
+timed; recording is excluded, so budgeted runs can be replayed and
+measured afterwards without polluting the budget.
 
 The Kalman-based update maintains a positive definite matrix alongside
 the iterate.  Each step solves a sampled Gauss-Newton model regularized by
@@ -103,17 +103,21 @@ class StepSchedule:
 @dataclass(frozen=True)
 class RunTrace:
     """Per-iteration records of a solver run; ``wall_clock`` holds
-    accumulated solver seconds at each record."""
+    accumulated solver seconds at each record.  The last record is the
+    run's last iterate, so its iteration number is the run's count."""
 
     wall_clock: Array
     iteration: Array
     thetas: Array
     budget: float
     terminated_by: str
-    n_iterations: int
 
     def __len__(self) -> int:
         return len(self.wall_clock)
+
+    @property
+    def n_iterations(self) -> int:
+        return int(self.iteration[-1])
 
     @property
     def final_theta(self) -> Array:
@@ -232,7 +236,6 @@ def _run_loop(theta0, step, budget, max_iter, record_every, gtol=0.0):
         thetas=np.asarray(thetas),
         budget=budget,
         terminated_by=terminated,
-        n_iterations=k,
     )
 
 

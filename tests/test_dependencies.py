@@ -143,18 +143,13 @@ def test_unread_fields_are_flagged():
     assert _unread_fields(sources) == ["Config.knob", "Config.dead", "Row.spare"]
 
 
-# fields that only readers outside the package use: the record numbers of a
-# trace
-READ_OUTSIDE_THE_PACKAGE = {"RunTrace.iteration"}
-
-
 def test_every_dataclass_field_is_read():
     """Every ``@dataclass`` field of the package, config settings included,
     is read as an attribute somewhere in it, so a field (or a config key)
     whose value nothing uses shows up here."""
     package = Path(hfda.__file__).resolve().parent
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
-    assert [f for f in _unread_fields(sources) if f not in READ_OUTSIDE_THE_PACKAGE] == []
+    assert _unread_fields(sources) == []
 
 
 SOLVERS = {"run_gd", "run_gauss_newton", "run_sgd", "run_ksgd"}

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,15 @@ def test_augmented_dimension():
     assert system.q == 6
 
 
+def test_model_dimensions_are_the_sizes_of_its_vectors():
+    model = linear_system(np.eye(3), np.ones((3, 2)), x0=np.zeros(3), t_span=(0.0, 1.0))
+    assert (model.d, model.p, model.q) == (3, 2, 5)
+    wider = dataclasses.replace(fitzhugh_nagumo(), params_ref=np.ones(5))
+    assert (wider.d, wider.p, augment(wider).q) == (2, 5, 7)
+    with pytest.raises(ValueError):
+        dataclasses.replace(model, d=2)  # derived, so it cannot disagree
+
+
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_augmented_parameter_block_is_zero(name):
     model = get_model(name)
@@ -155,3 +166,10 @@ def test_linear_system_rhs_is_affine():
 def test_model_spec_validation():
     with pytest.raises(ValueError):
         linear_system(np.zeros((2, 2)), np.zeros((2, 1)), x0=np.zeros(2), t_span=(1.0, 1.0))
+    with pytest.raises(ValueError):
+        linear_system(np.zeros((2, 2)), np.zeros((2, 1)), x0=np.zeros(3), t_span=(0.0, 1.0))
+    model = van_der_pol()
+    for bad in ({"x0": np.zeros(0)}, {"x0": np.zeros((2, 1))}, {"params_ref": np.zeros(0)},
+                {"params_ref": 1.0}):
+        with pytest.raises(ValueError):
+            dataclasses.replace(model, **bad)

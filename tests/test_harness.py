@@ -110,6 +110,34 @@ def test_simple_sampler_runs_keep_their_bits_on_the_shipped_lv_data(solver, dige
     assert hashlib.sha256(trace.thetas.tobytes()).hexdigest() == digest
 
 
+# sha256 of the seed-1234 reference minimizer theta_hat of each config,
+# fitted with no cache
+SEED_1234_REFERENCE_SHA256 = {
+    "fitzhugh_nagumo": "d22eaaf23e9f9f7e90fa52f1d62ec7bda151b867b7156d64575d31067d4fcc52",
+    "lotka_volterra": "0b41b1f2c063b3c873e3c24b3a6a2c9c6826b34cd04dd921389d43eeb6dbe438",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_1234_REFERENCE_SHA256))
+def test_reference_fit_keeps_its_bits(name):
+    config = ExperimentConfig(model=name, seed=1234)
+    model, data = build_data(config)
+    theta_hat, _ = reference_minimizer(config, build_problem(config, model, data))
+    assert hashlib.sha256(theta_hat.tobytes()).hexdigest() == SEED_1234_REFERENCE_SHA256[name]
+
+
+def test_gauss_newton_from_the_race_start_keeps_its_bits():
+    config = ExperimentConfig(model="van_der_pol", seed=1234)
+    model, data = build_data(config)
+    trace, _ = harness.run_solver(
+        config, "gn", build_problem(config, model, data), resolve_theta0(config, model), budget=0.0,
+        max_iter=2, record_every=1, gtol=config.solver_gtol,
+    )
+    assert trace.terminated_by == "max_iter" and trace.n_iterations == 2
+    digest = hashlib.sha256(trace.thetas.tobytes()).hexdigest()
+    assert digest == "d12e3a465e7def7f0461f841cb567d713543bce2d8ceb36def277c559775c6ef"
+
+
 def test_reference_minimizer_cached(small_config, tmp_path):
     model, data = build_data(small_config)
     problem = build_problem(small_config, model, data)
@@ -133,7 +161,6 @@ def test_replay_trace_of_reference_is_zero(small_config, tmp_path):
         thetas=np.array([theta_hat, theta_hat]),
         budget=1.0,
         terminated_by="max_iter",
-        n_iterations=1,
     )
     times, errors = replay_trace(trace, problem, theta_hat)
     assert np.array_equal(errors, np.zeros(2))
@@ -160,7 +187,6 @@ def test_replay_trace_singleton_and_term_for_term(small_config, tmp_path):
         thetas=theta0[None],
         budget=0.0,
         terminated_by="max_iter",
-        n_iterations=0,
     )
     times1, errors1 = replay_trace(single, problem, theta_hat)
     assert len(times1) == 1
@@ -179,7 +205,6 @@ def test_replay_drops_nonfinite_rows(small_config, tmp_path):
         thetas=np.array([theta_hat, bad]),
         budget=1.0,
         terminated_by="max_iter",
-        n_iterations=1,
     )
     times, errors = replay_trace(trace, problem, theta_hat)
     assert len(times) == 1
@@ -236,7 +261,7 @@ def test_study_status_says_whether_a_fit_converged(small_config, monkeypatch):
 
     def study_fit(config):
         row = harness.GridRow(
-            "gn_none", "gn", "none", 1.0, base.model.theta_ref(), 0.0, config.table1_max_iter,
+            "gn_none", "gn", "none", 1.0, base.problem.model.theta_ref(), 0.0, config.table1_max_iter,
             config.table1_gtol, config.table1_max_iter, rescue=True,
         )
         (run,) = harness.run_grid(config, base, [row])

@@ -170,6 +170,32 @@ def test_gd_nonfinite_iterate_ends_as_divergence_error(at, record_every):
     assert np.array_equal(raised.thetas, nonfinite.thetas)
 
 
+@pytest.mark.parametrize(
+    "ends, caps, fails_at",
+    [
+        ("max_iter", dict(max_iter=7), None),
+        ("budget", dict(budget=0.01), None),
+        ("converged", dict(max_iter=1000, gtol=1e-3), None),
+        ("divergence", dict(max_iter=10), 0),
+        ("divergence", dict(max_iter=10), 5),
+    ],
+)
+def test_the_last_record_is_the_last_iterate(ends, caps, fails_at):
+    # every exit records the iterate after the last completed step, so the
+    # trace's count is that record's iteration number; record_every = 4
+    # puts most exits off the recording stride
+    problem = FailingProblem(np.eye(2), -1 if fails_at is None else fails_at, raises=True)
+    trace = run_gd(problem, np.ones(2), StepSchedule("constant", 0.1), record_every=4, **caps)
+    completed = problem.calls - (fails_at is not None)
+    theta = np.ones(2)
+    for _ in range(completed):
+        theta = theta - 0.1 * theta
+    assert trace.terminated_by == ends
+    assert trace.n_iterations == trace.iteration[-1] == completed
+    assert np.array_equal(trace.final_theta, theta)
+    assert np.array_equal(trace.iteration[:-1], np.arange(0, completed, 4))
+
+
 def test_gd_convergence_stopping():
     a = np.eye(2)
     trace = run_gd(
