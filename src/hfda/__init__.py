@@ -33,7 +33,6 @@ from .modify import (
     accumulate_upper,
     average_nearest,
     average_upper,
-    make_scheme,
     simple_random_sample,
     systematic_random_sample,
 )

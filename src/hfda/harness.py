@@ -36,7 +36,7 @@ import numpy as np
 
 from .dynamics import MODEL_NAMES, ModelSpec, eval_jacobians, eval_rhs, get_model
 from .integrate import grid_from_times, integrate_augmented
-from .modify import SCHEME_KINDS, make_scheme
+from .modify import SCHEME_KINDS, ModificationScheme
 from .observe import (
     DERIVATIVE_MODES,
     ObservationSet,
@@ -129,21 +129,6 @@ def _tuple_of(convert):
     return convert_all
 
 
-def _interval(low: float, high: float):
-    """Converter of a float in the half-open interval (low, high]."""
-
-    def convert(raw: str) -> float:
-        value = float(raw)
-        if not low < value <= high:
-            raise ValueError(f"must lie in ({low:g}, {high:g}], got {raw.strip()!r}")
-        return value
-
-    return convert
-
-
-_fraction = _interval(0.0, 1.0)
-
-
 def _choice(options: tuple[str, ...]):
     """Converter accepting exactly one of ``options``."""
 
@@ -156,16 +141,32 @@ def _choice(options: tuple[str, ...]):
     return convert
 
 
-def _positive(convert):
-    """``convert`` that also rejects values <= 0 (None passes through)."""
+def _checked(convert, accept, need: str):
+    """``convert`` that also rejects a value ``accept`` refuses, with an
+    error saying what it must ``need`` to be (None passes through)."""
 
     def checked(raw: str):
         value = convert(raw)
-        if value is not None and not value > 0:
-            raise ValueError(f"must be positive, got {raw.strip()!r}")
+        if value is not None and not accept(value):
+            raise ValueError(f"must {need}, got {raw.strip()!r}")
         return value
 
     return checked
+
+
+def _positive(convert):
+    """``convert`` that also rejects values <= 0."""
+    return _checked(convert, lambda v: v > 0, "be positive")
+
+
+def _interval(low: float, high: float):
+    """Converter of a float in the half-open interval (low, high]."""
+    return _checked(float, lambda v: low < v <= high, f"lie in ({low:g}, {high:g}]")
+
+
+_finite = _checked(float, np.isfinite, "be finite")
+_seed = _checked(int, lambda v: v >= 0, "be a non-negative integer")  # as numpy's SeedSequence
+_fraction = _interval(0.0, 1.0)
 
 
 def _setting(key: str, convert, default=dataclasses.MISSING):
@@ -182,46 +183,46 @@ class ExperimentConfig:
     seed take the model's defaults; ``run_solver`` derives an unset kappa."""
 
     model: str = _setting("experiment.model", _choice(MODEL_NAMES))
-    h: float | None = _setting("experiment.h", _positive(float), None)
-    seed: int = _setting("experiment.seed", int, 1234)
+    h: float | None = _setting("experiment.h", _positive(_finite), None)
+    seed: int = _setting("experiment.seed", _seed, 1234)
     output_dir: str = _setting("experiment.output_dir", str, "runs")
     mode: str = _setting("experiment.mode", _choice(DERIVATIVE_MODES), "forward")
-    obs_period: float | None = _setting("observation.period", _positive(float), None)
-    obs_sigma: float | None = _setting("observation.sigma", _positive(float), None)
-    obs_seed: int | None = _setting("observation.seed", int, None)
+    obs_period: float | None = _setting("observation.period", _positive(_finite), None)
+    obs_sigma: float | None = _setting("observation.sigma", _positive(_finite), None)
+    obs_seed: int | None = _setting("observation.seed", _seed, None)
     # single-scheme modification (modify / solve subcommands)
     modify_scheme: str = _setting("modify.scheme", _choice(("none",) + SCHEME_KINDS), "none")
     modify_potp: float = _setting("modify.potp", _fraction, 0.01)
-    modify_seed: int | None = _setting("modify.seed", int, None)
+    modify_seed: int | None = _setting("modify.seed", _seed, None)
     # solver settings (run_solver; name, budget, max_iter and record_every
     # apply to the solve subcommand only)
     solver_name: str = _setting("solver.name", _choice(SOLVER_NAMES), "gd")
     solver_schedule: str = _setting("solver.schedule", _choice(SCHEDULE_KINDS), "constant")
-    solver_eta0: float | None = _setting("solver.eta0", _positive(_optional(float)), None)
-    solver_k0: float = _setting("solver.k0", _positive(float), 100.0)
+    solver_eta0: float | None = _setting("solver.eta0", _positive(_optional(_finite)), None)
+    solver_k0: float = _setting("solver.k0", _positive(_finite), 100.0)
     solver_alpha: float = _setting("solver.alpha", _interval(0.5, 1.0), 1.0)
     solver_sampler: str = _setting("solver.sampler", _choice(SAMPLER_KINDS), "systematic")
     solver_kappa: int | None = _setting("solver.kappa", _positive(_optional(int)), None)
-    solver_budget: float = _setting("solver.budget", float, 1.0)
+    solver_budget: float = _setting("solver.budget", _finite, 1.0)
     solver_max_iter: int = _setting("solver.max_iter", int, 0)
-    solver_gtol: float = _setting("solver.gtol", float, 0.0)
-    solver_seed: int | None = _setting("solver.seed", int, None)
+    solver_gtol: float = _setting("solver.gtol", _finite, 0.0)
+    solver_seed: int | None = _setting("solver.seed", _seed, None)
     solver_record_every: int = _setting("solver.record_every", _positive(int), 1)
     theta0_policy: str = _setting("solver.theta0", _choice(THETA0_POLICIES), "perturbed")
-    theta0_scale: float = _setting("solver.theta0_scale", float, 0.5)
-    theta0_seed: int | None = _setting("solver.theta0_seed", int, None)
-    theta0_values: tuple[float, ...] | None = _setting("solver.theta0_values", _tuple_of(float), None)
-    race_budget: float = _setting("race.budget", float, 1.0)
+    theta0_scale: float = _setting("solver.theta0_scale", _finite, 0.5)
+    theta0_seed: int | None = _setting("solver.theta0_seed", _seed, None)
+    theta0_values: tuple[float, ...] | None = _setting("solver.theta0_values", _tuple_of(_finite), None)
+    race_budget: float = _setting("race.budget", _finite, 1.0)
     race_potp: float = _setting("race.potp", _fraction, 0.01)
     race_max_iter: int = _setting("race.max_iter", int, 0)
     race_record_every: int = _setting("race.record_every", _positive(int), 10)
     # relative-error study
     table1_potps: tuple[float, ...] = _setting("table1.potps", _tuple_of(_fraction), (0.01, 0.1))
     table1_max_iter: int = _setting("table1.max_iter", _positive(int), 40)
-    table1_gtol: float = _setting("table1.gtol", float, 1e-6)
+    table1_gtol: float = _setting("table1.gtol", _finite, 1e-6)
     # unmodified-problem reference fit
     ref_max_iter: int = _setting("reference.max_iter", _positive(int), 60)
-    ref_gtol: float = _setting("reference.gtol", float, 1e-8)
+    ref_gtol: float = _setting("reference.gtol", _finite, 1e-8)
 
     def __post_init__(self) -> None:
         if self.model not in MODEL_DEFAULTS:
@@ -247,7 +248,8 @@ class ExperimentConfig:
         if not self.table1_potps:
             raise ValueError("[table1] potps must list at least one fraction")
         for section in ("solver", "race"):
-            if getattr(self, f"{section}_budget") <= 0 and getattr(self, f"{section}_max_iter") <= 0:
+            budget, max_iter = getattr(self, f"{section}_budget"), getattr(self, f"{section}_max_iter")
+            if max_iter <= 0 and not 0 < budget < np.inf:  # optimize._run_loop's rule
                 raise ValueError(f"[{section}] budget or [{section}] max_iter must be positive")
         if self.theta0_policy == "explicit":
             if self.theta0_values is None or len(self.theta0_values) != model.q:
@@ -284,7 +286,7 @@ def modify_data(
     """Apply one modification scheme at target fraction ``potp``; the
     sampling schemes draw from the ``modify/<scheme>/<potp>`` stream."""
     seed = config.stream(f"modify/{scheme}/{potp}", config.modify_seed)
-    return make_scheme(scheme, model.t_span, config.obs_period, potp, seed).apply(data)
+    return ModificationScheme(scheme, potp, seed).apply(data, model.t_span, config.obs_period)
 
 
 def build_problem(

@@ -13,7 +13,12 @@ All six schemes map an observation set to a smaller or displaced one:
   the observations unchanged, drawn by ``stochastic.draw_simple`` /
   ``draw_systematic`` (the draws the stochastic solvers use).
 
-Counts derived from a target fraction use half-away-from-zero rounding
+A scheme is ``ModificationScheme(kind, potp, seed)``: every kind keeps a
+target fraction ``potp`` in (0, 1] of the observations.
+``apply(data, t_span, obs_period)`` gives the displacement kinds the
+targets ``default_predetermined(t_span, obs_period, potp)``, the multiples
+of obs_period / potp; the sampling kinds draw from ``seed``.  Counts
+derived from a target fraction use half-away-from-zero rounding
 (``stochastic.round_half_away``).
 """
 from __future__ import annotations
@@ -130,56 +135,39 @@ def systematic_random_sample(data: ObservationSet, potp: float, seed: int) -> Ob
     return data.subset(draw_systematic(len(data), kappa, rng).indices)
 
 
+_DISPLACEMENTS = {
+    "accumulate_upper": accumulate_upper,
+    "accumulate_nearest": accumulate_nearest,
+    "average_upper": average_upper,
+    "average_nearest": average_nearest,
+}
+
+
 @dataclass(frozen=True)
 class ModificationScheme:
-    """A scheme selection plus the inputs its kind needs.
-
-    Accumulation/averaging kinds use ``predetermined``; sampling kinds use
-    ``potp`` and ``seed``.
-    """
+    """One scheme: its kind, the target fraction ``potp`` of observations it
+    keeps, and the seed the sampling kinds draw from (a fixed one, so every
+    draw replays).  ``apply`` places the displacement kinds' targets with
+    ``default_predetermined`` from the span and the observation period."""
 
     kind: str
-    predetermined: Array | None = None
-    potp: float | None = None
-    seed: int | None = None
+    potp: float
+    seed: int
 
     def __post_init__(self) -> None:
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme {self.kind!r}; available: {', '.join(SCHEME_KINDS)}")
-        if self.kind in ("simple_random", "systematic_random"):
-            if self.potp is None or self.seed is None:
-                raise ValueError(f"{self.kind} requires potp and seed")
-            if self.predetermined is not None:
-                raise ValueError(f"{self.kind} does not take predetermined times")
-        else:
-            if self.predetermined is None:
-                raise ValueError(f"{self.kind} requires predetermined times")
-            if self.potp is not None or self.seed is not None:
-                raise ValueError(f"{self.kind} takes neither potp nor seed")
+        if self.seed is None:
+            raise ValueError(f"{self.kind} needs a seed: a draw from SeedSequence(None) cannot be replayed")
+        if not 0.0 < self.potp <= 1.0:
+            raise ValueError(f"{self.kind} potp must lie in (0, 1], got {self.potp!r}")
 
-    def apply(self, data: ObservationSet) -> ObservationSet:
-        if self.kind == "accumulate_upper":
-            return accumulate_upper(data, self.predetermined)
-        if self.kind == "accumulate_nearest":
-            return accumulate_nearest(data, self.predetermined)
-        if self.kind == "average_upper":
-            return average_upper(data, self.predetermined)
-        if self.kind == "average_nearest":
-            return average_nearest(data, self.predetermined)
+    def apply(
+        self, data: ObservationSet, t_span: tuple[float, float], obs_period: float
+    ) -> ObservationSet:
         if self.kind == "simple_random":
             return simple_random_sample(data, self.potp, self.seed)
-        return systematic_random_sample(data, self.potp, self.seed)
-
-
-def make_scheme(
-    kind: str,
-    t_span: tuple[float, float],
-    obs_period: float,
-    potp: float,
-    seed: int | None = None,
-) -> ModificationScheme:
-    """Build a scheme from a target fraction: sampling kinds carry the
-    fraction itself, displacement kinds get matching predetermined times."""
-    if kind in ("simple_random", "systematic_random"):
-        return ModificationScheme(kind=kind, potp=potp, seed=seed)
-    return ModificationScheme(kind=kind, predetermined=default_predetermined(t_span, obs_period, potp))
+        if self.kind == "systematic_random":
+            return systematic_random_sample(data, self.potp, self.seed)
+        targets = default_predetermined(t_span, obs_period, self.potp)
+        return _DISPLACEMENTS[self.kind](data, targets)

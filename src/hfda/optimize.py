@@ -193,8 +193,8 @@ def _run_loop(theta0, step, budget, max_iter, record_every, gtol=0.0):
     that fails (diverges, or returns a non-finite theta) is not counted and
     ends the run as "divergence".
     """
-    if budget <= 0 and max_iter <= 0:
-        raise ValueError("either budget or max_iter must be positive")
+    if max_iter <= 0 and not 0 < budget < np.inf:
+        raise ValueError("a run needs max_iter > 0 or a finite positive budget")
     theta = np.asarray(theta0, dtype=float).copy()
     wall, iters, thetas = [0.0], [0], [theta.copy()]
     solver_time = 0.0

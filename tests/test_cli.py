@@ -343,10 +343,14 @@ def test_parse_rejects_bad_enumerated_or_nonpositive_value(tmp_path, section, ke
         ("modify", ["modify.scheme=simple_random", "modify.potp=0.0001"], "[modify] potp"),
         ("modify", ["modify.scheme=systematic_random", "modify.potp=0.0001"], "[modify] potp"),
         ("table1", ["table1.potps="], "[table1] potps"),
+        # numpy would reject the seed only after the reference fit, and a
+        # NaN budget would never stop the run
+        ("solve", ["solver.name=sgd", "solver.seed=-4"], "override key solver.seed"),
+        ("solve", ["solver.name=sgd", "solver.budget=nan"], "override key solver.budget"),
     ],
     ids=[
         "record_every", "budget", "race_budget", "theta0_missing", "theta0_count",
-        "simple_potp", "systematic_potp", "empty_potps",
+        "simple_potp", "systematic_potp", "empty_potps", "negative_seed", "nan_budget",
     ],
 )
 def test_a_run_that_cannot_start_fails_before_fitting(command, overrides, named, tmp_path, capsys):
@@ -367,6 +371,34 @@ def test_every_setting_declares_one_key_and_a_converter():
     assert all(callable(f.metadata["convert"]) for f in fields)
     assert len(set(keys)) == len(keys) == 36
     assert cli._SCHEMA == {f.metadata["key"]: (f.name, f.metadata["convert"]) for f in fields}
+
+
+def _reads_as_numbers(value) -> bool:
+    values = value if isinstance(value, tuple) else (value,)
+    return bool(values) and all(isinstance(v, (int, float)) for v in values)
+
+
+def test_every_numeric_key_rejects_non_finite_values_and_every_seed_a_negative_one(tmp_path):
+    checked = set()
+    for field in dataclasses.fields(harness.ExperimentConfig):
+        section, key = field.metadata["key"]
+        try:
+            numeric = _reads_as_numbers(field.metadata["convert"]("1"))
+        except ValueError:
+            numeric = False
+        bad = (["nan", "inf", "-inf"] if numeric else []) + (["-1"] if key.endswith("seed") else [])
+        for value in bad:
+            body = "[experiment]\nmodel = fitzhugh_nagumo\n"
+            body += f"{key} = {value}\n" if section == "experiment" else f"[{section}]\n{key} = {value}\n"
+            with pytest.raises(ConfigError, match=rf"config key \[{section}\] {key}:"):
+                parse_config(write_config(tmp_path, body))
+            checked.add((section, key, value))
+    for section, key in [("solver", "budget"), ("race", "budget"), ("reference", "gtol"),
+                         ("table1", "gtol"), ("solver", "theta0_values"), ("experiment", "h")]:
+        assert (section, key, "nan") in checked and (section, key, "inf") in checked
+    seeds = {(s, k) for s, k, v in checked if v == "-1"}
+    assert seeds == {("experiment", "seed"), ("observation", "seed"), ("modify", "seed"),
+                     ("solver", "seed"), ("solver", "theta0_seed")}
 
 
 def test_readme_config_reference_lists_the_declared_keys():

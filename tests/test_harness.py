@@ -47,6 +47,18 @@ def test_relative_error_rejects_nonpositive_reference():
         relative_error(lambda theta: 0.0, np.zeros(1), np.zeros(1))
 
 
+def test_a_config_built_in_code_needs_a_cap_its_runs_can_reach():
+    # the rule of optimize._run_loop, so a NaN or infinite budget fails
+    # before the reference fit, as it does at parse time
+    for section in ("solver", "race"):
+        for budget in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=rf"\[{section}\] budget or \[{section}\] max_iter"):
+                ExperimentConfig(model="fitzhugh_nagumo", **{f"{section}_budget": budget})
+        # a negative budget means no time cap
+        capped = {f"{section}_budget": -1.0, f"{section}_max_iter": 3}
+        assert getattr(ExperimentConfig(model="fitzhugh_nagumo", **capped), f"{section}_budget") == -1.0
+
+
 def test_derive_seed_stable_and_distinct():
     a = derive_seed(1234, "observation")
     assert a == derive_seed(1234, "observation")

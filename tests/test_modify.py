@@ -14,7 +14,6 @@ from hfda.modify import (
     average_nearest,
     average_upper,
     default_predetermined,
-    make_scheme,
     round_half_away,
     simple_random_sample,
     systematic_random_sample,
@@ -254,8 +253,8 @@ def test_systematic_count_5000_at_one_percent():
 def test_all_schemes_nondecreasing_times_and_no_growth(fn_small):
     _, data, _ = fn_small
     for kind in SCHEME_KINDS:
-        scheme = make_scheme(kind, (0.0, 5.0), 0.05, 0.1, seed=4)
-        out = scheme.apply(data)
+        scheme = ModificationScheme(kind, 0.1, seed=4)
+        out = scheme.apply(data, (0.0, 5.0), 0.05)
         assert len(out) <= len(data)
         assert np.all(np.diff(out.times) >= 0)
 
@@ -273,8 +272,8 @@ def test_sampling_hits_target_fraction_within_one(fn_small):
     n_in = len(np.unique(data.times))
     for kind in ("simple_random", "systematic_random"):
         for potp in (0.1, 0.25):
-            scheme = make_scheme(kind, (0.0, 5.0), 0.05, potp, seed=8)
-            out = scheme.apply(data)
+            scheme = ModificationScheme(kind, potp, seed=8)
+            out = scheme.apply(data, (0.0, 5.0), 0.05)
             n_out = len(np.unique(out.times))
             assert abs(n_out - potp * n_in) <= 1.0
 
@@ -287,14 +286,14 @@ def test_round_half_away():
 
 
 def test_scheme_field_validation():
-    with pytest.raises(ValueError):
-        ModificationScheme(kind="bogus")
-    with pytest.raises(ValueError):
-        ModificationScheme(kind="systematic_random", predetermined=np.array([1.0]))
-    with pytest.raises(ValueError):
-        ModificationScheme(kind="accumulate_upper", potp=0.1, seed=1)
-    with pytest.raises(ValueError):
-        ModificationScheme(kind="average_upper")
+    # a scheme that apply would reject, or a draw that could not be
+    # replayed, cannot be built, whatever its kind
+    bad = [("bogus", 0.1, 1)]
+    for kind in SCHEME_KINDS:
+        bad += [(kind, 0.1, None)] + [(kind, potp, 1) for potp in (0.0, 1.5, np.nan)]
+    for kind, potp, seed in bad:
+        with pytest.raises(ValueError):
+            ModificationScheme(kind, potp, seed)
 
 
 def test_default_predetermined_spacing():

@@ -111,8 +111,10 @@ def test_gd_iteration_cap_semantics():
 
 
 def test_gd_requires_some_cap():
-    with pytest.raises(ValueError):
-        run_gd(QuadraticProblem(np.eye(2)), np.ones(2), StepSchedule("constant", 0.1))
+    # a NaN or infinite budget caps nothing: the run would never return
+    for budget in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            run_gd(QuadraticProblem(np.eye(2)), np.ones(2), StepSchedule("constant", 0.1), budget=budget)
 
 
 def test_gd_budget_termination():
