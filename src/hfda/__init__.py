@@ -26,16 +26,7 @@ from .integrate import (
     integrate_adjoint,
     integrate_with_sensitivity,
 )
-from .modify import (
-    SCHEME_KINDS,
-    ModificationScheme,
-    accumulate_nearest,
-    accumulate_upper,
-    average_nearest,
-    average_upper,
-    simple_random_sample,
-    systematic_random_sample,
-)
+from .modify import SCHEME_KINDS, ModificationScheme
 from .observe import (
     GradientEvaluation,
     ObservationModel,

@@ -162,8 +162,18 @@ def cmd_check(config: ExperimentConfig) -> int:
     return 0 if status == "PASS" else 1
 
 
+def _check_potps(config: ExperimentConfig, key: str, potps) -> None:
+    """Stop a study or race before its reference fit when one of its
+    fractions leaves a sampling scheme no observation."""
+    try:
+        config.check_potps(key, SCHEME_KINDS, potps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def cmd_table1(config: ExperimentConfig) -> int:
     """Run the relative-error study of every modification scheme (Table 1)."""
+    _check_potps(config, "[table1] potps", config.table1_potps)
     report = harness.run_table1_study(config)
     print(f"reference objective: {report.reference_objective:.6e}")
     print(f"{'scheme':<20} {'potp':>6} {'relative_error':>16}")
@@ -177,6 +187,7 @@ def cmd_table1(config: ExperimentConfig) -> int:
 
 def cmd_race(config: ExperimentConfig) -> int:
     """Race every solver under the same time budget and write their traces."""
+    _check_potps(config, "[race] potp", (config.race_potp,))
     race = harness.run_budget_race(config)
     print(f"race: {config.model}, budget {config.race_budget:g}s per solver")
     for run in race.runs:

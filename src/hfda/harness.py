@@ -36,7 +36,7 @@ import numpy as np
 
 from .dynamics import MODEL_NAMES, ModelSpec, eval_jacobians, eval_rhs, get_model
 from .integrate import grid_from_times, integrate_augmented
-from .modify import SCHEME_KINDS, ModificationScheme
+from .modify import SCHEME_KINDS, ModificationScheme, keeps_none
 from .observe import (
     DERIVATIVE_MODES,
     ObservationSet,
@@ -238,13 +238,7 @@ class ExperimentConfig:
         if n_obs == 0:
             span = f"{model.t_span[0]:g} to {model.t_span[1]:g}"
             raise ValueError(f"[observation] period {self.obs_period:g} exceeds the span {span}")
-        potp = self.modify_potp
-        if (self.modify_scheme == "simple_random" and round_half_away(potp * n_obs) < 1) or (
-            self.modify_scheme == "systematic_random" and round_half_away(1.0 / potp) > n_obs
-        ):
-            raise ValueError(
-                f"[modify] potp {potp:g} leaves {self.modify_scheme} no observation of {n_obs}"
-            )
+        self.check_potps("[modify] potp", (self.modify_scheme,), (self.modify_potp,))
         if not self.table1_potps:
             raise ValueError("[table1] potps must list at least one fraction")
         for section in ("solver", "race"):
@@ -256,6 +250,15 @@ class ExperimentConfig:
                 raise ValueError(
                     f"[solver] theta0 = explicit needs [solver] theta0_values with {model.q} components"
                 )
+
+    def check_potps(self, key: str, kinds, potps) -> None:
+        """Raise ValueError, naming ``key``, when a fraction in ``potps``
+        leaves one of the ``kinds`` no observation (``modify.keeps_none``)."""
+        n_obs = observation_times(get_model(self.model).t_span, self.obs_period).size
+        for kind in kinds:
+            for potp in potps:
+                if keeps_none(kind, potp, n_obs):
+                    raise ValueError(f"{key} {potp:g} leaves {kind} no observation of {n_obs}")
 
     def stream(self, label: str, explicit: int | None = None) -> int:
         return int(explicit) if explicit is not None else derive_seed(self.seed, label)

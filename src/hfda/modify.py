@@ -1,25 +1,26 @@
 """Data-modification schemes: accumulation, averaging, and sampling.
 
-All six schemes map an observation set to a smaller or displaced one:
+A scheme is ``ModificationScheme(kind, potp, seed)``: its kind, the target
+fraction ``potp`` in (0, 1] of the observations it keeps, and the seed the
+sampling kinds draw from.  ``apply(data, t_span, obs_period)`` is the one
+way to modify data.  The kinds:
 
-* ``accumulate_upper`` / ``accumulate_nearest`` move observation times onto
-  predetermined target times, leaving values untouched (observations pile up
-  on shared times).
-* ``average_upper`` / ``average_nearest`` replace each group with one
-  superobservation at the target time whose value is the group mean, with
+* ``accumulate_upper`` / ``accumulate_nearest`` move each observation time
+  onto the first target time at or after it / the nearest target time,
+  leaving values untouched (observations pile up on shared times).
+* ``average_upper`` / ``average_nearest`` replace each such group with one
+  superobservation at its target time whose value is the group mean, with
   unit weight: every fit and ``hfda modify`` treat the mean as an ordinary
   observation.
-* ``simple_random_sample`` / ``systematic_random_sample`` keep a subset of
-  the observations unchanged, drawn by ``stochastic.draw_simple`` /
+* ``simple_random`` / ``systematic_random`` keep a subset of the
+  observations unchanged, drawn by ``stochastic.draw_simple`` /
   ``draw_systematic`` (the draws the stochastic solvers use).
 
-A scheme is ``ModificationScheme(kind, potp, seed)``: every kind keeps a
-target fraction ``potp`` in (0, 1] of the observations.
-``apply(data, t_span, obs_period)`` gives the displacement kinds the
-targets ``default_predetermined(t_span, obs_period, potp)``, the multiples
-of obs_period / potp; the sampling kinds draw from ``seed``.  Counts
-derived from a target fraction use half-away-from-zero rounding
-(``stochastic.round_half_away``).
+The displacement kinds' targets are ``default_predetermined(t_span,
+obs_period, potp)``, the multiples of obs_period / potp.  Counts derived
+from a target fraction use half-away-from-zero rounding
+(``stochastic.round_half_away``); ``keeps_none`` is the rule that says when
+they leave a sampling kind no observation.
 """
 from __future__ import annotations
 
@@ -57,15 +58,13 @@ def default_predetermined(
     return times
 
 
-def _check_predetermined(data: ObservationSet, predetermined: Array) -> Array:
-    predetermined = np.asarray(predetermined, dtype=float)
-    if predetermined.size == 0:
-        raise ValueError("predetermined times must be nonempty")
-    if np.any(np.diff(predetermined) <= 0):
-        raise ValueError("predetermined times must be strictly increasing")
-    if len(data) and data.times[-1] > predetermined[-1]:
-        raise ValueError("an observation lies after the last predetermined time")
-    return predetermined
+def keeps_none(kind: str, potp: float, n_obs: int) -> bool:
+    """Whether ``kind`` at ``potp`` would keep no observation of ``n_obs``:
+    ``simple_random`` needs round(potp * n_obs) >= 1 and
+    ``systematic_random`` a stride round(1 / potp) <= n_obs."""
+    if kind == "simple_random":
+        return round_half_away(potp * n_obs) < 1
+    return kind == "systematic_random" and round_half_away(1.0 / potp) > n_obs
 
 
 def _assign_upper(times: Array, predetermined: Array) -> Array:
@@ -82,17 +81,13 @@ def _assign_nearest(times: Array, predetermined: Array) -> Array:
     return np.where(d_right <= d_left, right, left)
 
 
-def _accumulate(data: ObservationSet, predetermined: Array, assign) -> ObservationSet:
-    predetermined = _check_predetermined(data, predetermined)
-    target = assign(data.times, predetermined)
+def _accumulate(data: ObservationSet, predetermined: Array, target: Array) -> ObservationSet:
     return ObservationSet(
         times=predetermined[target], values=data.values, model=data.model, weights=data.weights
     )
 
 
-def _average(data: ObservationSet, predetermined: Array, assign) -> ObservationSet:
-    predetermined = _check_predetermined(data, predetermined)
-    target = assign(data.times, predetermined)
+def _average(data: ObservationSet, predetermined: Array, target: Array) -> ObservationSet:
     used, group = np.unique(target, return_inverse=True)
     sums = np.zeros((len(used), data.values.shape[1]))
     np.add.at(sums, group, data.values)
@@ -100,46 +95,12 @@ def _average(data: ObservationSet, predetermined: Array, assign) -> ObservationS
     return ObservationSet(times=predetermined[used], values=sums / counts[:, None], model=data.model)
 
 
-def accumulate_upper(data: ObservationSet, predetermined: Array) -> ObservationSet:
-    """Displace each observation to the upper end of its target interval."""
-    return _accumulate(data, predetermined, _assign_upper)
-
-
-def accumulate_nearest(data: ObservationSet, predetermined: Array) -> ObservationSet:
-    """Displace each observation to the nearest target time."""
-    return _accumulate(data, predetermined, _assign_nearest)
-
-
-def average_upper(data: ObservationSet, predetermined: Array) -> ObservationSet:
-    """One mean-valued superobservation per interval, placed at its upper end."""
-    return _average(data, predetermined, _assign_upper)
-
-
-def average_nearest(data: ObservationSet, predetermined: Array) -> ObservationSet:
-    """One mean-valued superobservation per nearest-target group."""
-    return _average(data, predetermined, _assign_nearest)
-
-
-def simple_random_sample(data: ObservationSet, potp: float, seed: int) -> ObservationSet:
-    """Uniform sample without replacement keeping round(potp * N) observations."""
-    m = round_half_away(potp * len(data))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return data.subset(draw_simple(len(data), m, rng).indices)
-
-
-def systematic_random_sample(data: ObservationSet, potp: float, seed: int) -> ObservationSet:
-    """Keep every kappa-th observation from a uniformly random offset,
-    kappa = round(1 / potp)."""
-    kappa = round_half_away(1.0 / potp)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return data.subset(draw_systematic(len(data), kappa, rng).indices)
-
-
+# displacement kind -> (how a group combines, how observations find their target)
 _DISPLACEMENTS = {
-    "accumulate_upper": accumulate_upper,
-    "accumulate_nearest": accumulate_nearest,
-    "average_upper": average_upper,
-    "average_nearest": average_nearest,
+    "accumulate_upper": (_accumulate, _assign_upper),
+    "accumulate_nearest": (_accumulate, _assign_nearest),
+    "average_upper": (_average, _assign_upper),
+    "average_nearest": (_average, _assign_nearest),
 }
 
 
@@ -147,8 +108,7 @@ _DISPLACEMENTS = {
 class ModificationScheme:
     """One scheme: its kind, the target fraction ``potp`` of observations it
     keeps, and the seed the sampling kinds draw from (a fixed one, so every
-    draw replays).  ``apply`` places the displacement kinds' targets with
-    ``default_predetermined`` from the span and the observation period."""
+    draw replays)."""
 
     kind: str
     potp: float
@@ -165,9 +125,18 @@ class ModificationScheme:
     def apply(
         self, data: ObservationSet, t_span: tuple[float, float], obs_period: float
     ) -> ObservationSet:
+        """Modify ``data`` observed on ``t_span`` every ``obs_period``.  The
+        sampling kinds keep round(potp * N) observations drawn uniformly or
+        every round(1 / potp)-th from a uniform offset; the displacement
+        kinds move observations onto ``default_predetermined`` targets."""
+        n = len(data)
+        if n and data.times[-1] > t_span[1]:
+            raise ValueError(f"an observation at {data.times[-1]:g} lies after the span's end {t_span[1]:g}")
+        if self.kind in _DISPLACEMENTS:
+            combine, assign = _DISPLACEMENTS[self.kind]
+            targets = default_predetermined(t_span, obs_period, self.potp)
+            return combine(data, targets, assign(data.times, targets))
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed))
         if self.kind == "simple_random":
-            return simple_random_sample(data, self.potp, self.seed)
-        if self.kind == "systematic_random":
-            return systematic_random_sample(data, self.potp, self.seed)
-        targets = default_predetermined(t_span, obs_period, self.potp)
-        return _DISPLACEMENTS[self.kind](data, targets)
+            return data.subset(draw_simple(n, round_half_away(self.potp * n), rng).indices)
+        return data.subset(draw_systematic(n, round_half_away(1.0 / self.potp), rng).indices)

@@ -343,6 +343,9 @@ def test_parse_rejects_bad_enumerated_or_nonpositive_value(tmp_path, section, ke
         ("modify", ["modify.scheme=simple_random", "modify.potp=0.0001"], "[modify] potp"),
         ("modify", ["modify.scheme=systematic_random", "modify.potp=0.0001"], "[modify] potp"),
         ("table1", ["table1.potps="], "[table1] potps"),
+        # checked when the command starts: a simulate config may carry them unused
+        ("table1", ["table1.potps=0.1,0.0001"], "[table1] potps 0.0001 leaves simple_random"),
+        ("race", ["race.potp=0.0001"], "[race] potp 0.0001 leaves simple_random"),
         # numpy would reject the seed only after the reference fit, and a
         # NaN budget would never stop the run
         ("solve", ["solver.name=sgd", "solver.seed=-4"], "override key solver.seed"),
@@ -350,7 +353,8 @@ def test_parse_rejects_bad_enumerated_or_nonpositive_value(tmp_path, section, ke
     ],
     ids=[
         "record_every", "budget", "race_budget", "theta0_missing", "theta0_count",
-        "simple_potp", "systematic_potp", "empty_potps", "negative_seed", "nan_budget",
+        "simple_potp", "systematic_potp", "empty_potps", "table1_potps", "race_potp",
+        "negative_seed", "nan_budget",
     ],
 )
 def test_a_run_that_cannot_start_fails_before_fitting(command, overrides, named, tmp_path, capsys):
@@ -362,6 +366,11 @@ def test_a_run_that_cannot_start_fails_before_fitting(command, overrides, named,
     assert main(argv) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_simulate_config_may_carry_fractions_no_run_could_use(tmp_path):
+    path = write_config(tmp_path, SMALL_FN + "\n[race]\npotp = 0.0001\n\n[table1]\npotps = 0.0001\n")
+    assert main(["simulate", "--config", str(path), "--output-dir", str(tmp_path / "sim")]) == 0
 
 
 def test_every_setting_declares_one_key_and_a_converter():

@@ -1,24 +1,25 @@
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from hfda.cli import parse_config
 from hfda.harness import ExperimentConfig, build_data, modify_data
 from hfda.modify import (
     ModificationScheme,
     SCHEME_KINDS,
     _assign_nearest,
     _assign_upper,
-    accumulate_nearest,
-    accumulate_upper,
-    average_nearest,
-    average_upper,
     default_predetermined,
+    keeps_none,
     round_half_away,
-    simple_random_sample,
-    systematic_random_sample,
 )
 from hfda.observe import ObservationModel, ObservationSet
+
+REPO_CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def toy_data(n=10, values=None):
@@ -29,6 +30,12 @@ def toy_data(n=10, values=None):
     return ObservationSet(times=times, values=vals[:, None], model=obs)
 
 
+def modify(kind, data, potp, seed=0):
+    """``kind`` at ``potp`` on data observed every time unit on (0, 10]: the
+    targets are the multiples of 1 / potp, so potp 0.2 gives 5 and 10."""
+    return ModificationScheme(kind, potp, seed).apply(data, (0.0, 10.0), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # accumulation
 # ---------------------------------------------------------------------------
@@ -36,28 +43,28 @@ def toy_data(n=10, values=None):
 
 def test_accumulate_upper_two_interval_example():
     data = toy_data()
-    out = accumulate_upper(data, np.array([5.0, 10.0]))
+    out = modify("accumulate_upper", data, 0.2)
     assert np.array_equal(out.times, [5.0] * 5 + [10.0] * 5)
     assert np.array_equal(out.values, data.values)
 
 
 def test_accumulate_upper_identity_when_targets_are_all_times():
     data = toy_data()
-    out = accumulate_upper(data, data.times)
+    out = modify("accumulate_upper", data, 1.0)
     assert np.array_equal(out.times, data.times)
     assert np.array_equal(out.values, data.values)
 
 
 def test_accumulate_upper_single_target_collapses_everything():
     data = toy_data()
-    out = accumulate_upper(data, np.array([10.0]))
+    out = modify("accumulate_upper", data, 0.1)
     assert np.array_equal(out.times, np.full(10, 10.0))
     assert len(out) == 10
 
 
 def test_accumulate_nearest_seven_three_split():
     data = toy_data()
-    out = accumulate_nearest(data, np.array([5.0, 10.0]))
+    out = modify("accumulate_nearest", data, 0.2)
     assert np.array_equal(out.times, [5.0] * 7 + [10.0] * 3)
     assert np.array_equal(out.values, data.values)
 
@@ -65,16 +72,15 @@ def test_accumulate_nearest_seven_three_split():
 def test_accumulate_nearest_tie_goes_upward():
     obs = ObservationModel(h_matrix=np.array([[1.0, 0.0]]), v_matrix=np.array([[1.0]]))
     data = ObservationSet(times=np.array([7.5]), values=np.array([[1.0]]), model=obs)
-    out = accumulate_nearest(data, np.array([5.0, 10.0]))
+    out = modify("accumulate_nearest", data, 0.2)
     assert out.times[0] == 10.0
 
 
-def test_accumulate_rejects_late_observation():
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_apply_rejects_an_observation_after_the_span(kind):
     data = toy_data()
-    with pytest.raises(ValueError):
-        accumulate_upper(data, np.array([5.0]))
-    with pytest.raises(ValueError):
-        accumulate_nearest(data, np.array([5.0]))
+    with pytest.raises(ValueError, match="after the span"):
+        ModificationScheme(kind, 0.2, seed=0).apply(data, (0.0, 5.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +90,7 @@ def test_accumulate_rejects_late_observation():
 
 def test_average_upper_means_and_counts():
     data = toy_data()
-    out = average_upper(data, np.array([5.0, 10.0]))
+    out = modify("average_upper", data, 0.2)
     assert np.array_equal(out.times, [5.0, 10.0])
     assert np.array_equal(out.values[:, 0], [3.0, 8.0])  # mean(1..5), mean(6..10)
     assert np.array_equal(out.weights, [1.0, 1.0])
@@ -92,20 +98,20 @@ def test_average_upper_means_and_counts():
 
 def test_average_constant_values_stay_constant():
     data = toy_data(values=np.full(10, 2.5))
-    out = average_upper(data, np.array([5.0, 10.0]))
+    out = modify("average_upper", data, 0.2)
     assert np.array_equal(out.values[:, 0], [2.5, 2.5])
 
 
 def test_average_singleton_groups_identity_on_values():
     data = toy_data()
-    out = average_upper(data, data.times)
+    out = modify("average_upper", data, 1.0)
     assert np.array_equal(out.values, data.values)
     assert np.array_equal(out.weights, np.ones(10))
 
 
 def test_average_nearest_group_sizes():
     data = toy_data()
-    out = average_nearest(data, np.array([5.0, 10.0]))
+    out = modify("average_nearest", data, 0.2)
     # mean(1..7) and mean(8..10): the groups hold 7 and 3 observations
     assert np.array_equal(out.values[:, 0], [4.0, 9.0])
     assert np.array_equal(out.weights, [1.0, 1.0])
@@ -113,26 +119,27 @@ def test_average_nearest_group_sizes():
 
 def test_average_nearest_partition_matches_accumulate_nearest():
     data = toy_data()
-    acc = accumulate_nearest(data, np.array([5.0, 10.0]))
-    avg = average_nearest(data, np.array([5.0, 10.0]))
+    acc = modify("accumulate_nearest", data, 0.2)
+    avg = modify("average_nearest", data, 0.2)
     assert np.array_equal(avg.times, np.unique(acc.times))
     means = [acc.values[acc.times == t].mean(axis=0) for t in avg.times]
     assert np.array_equal(avg.values, means)
 
 
 def test_average_skips_empty_intervals():
-    data = toy_data()
-    out = average_upper(data, np.array([0.5, 5.0, 10.0]))
-    assert np.array_equal(out.times, [5.0, 10.0])
+    # no observation falls in (5, 7.5], the third of the targets 2.5, 5, 7.5, 10
+    data = toy_data().subset(np.array([0, 1, 2, 3, 4, 8, 9]))
+    out = modify("average_upper", data, 0.4)
+    assert np.array_equal(out.times, [2.5, 5.0, 10.0])
 
 
 def test_averaging_conserves_member_counts(fn_small):
     _, data, _ = fn_small
-    targets = default_predetermined((0.0, 5.0), 0.05, 0.1)
-    pairs = ((average_upper, accumulate_upper), (average_nearest, accumulate_nearest))
+    pairs = (("average_upper", "accumulate_upper"), ("average_nearest", "accumulate_nearest"))
     for average, accumulate in pairs:
-        out = average(data, targets)
-        acc = accumulate(data, targets)  # every observation, at its group's time
+        out = ModificationScheme(average, 0.1, seed=0).apply(data, (0.0, 5.0), 0.05)
+        # every observation, at its group's time
+        acc = ModificationScheme(accumulate, 0.1, seed=0).apply(data, (0.0, 5.0), 0.05)
         assert np.array_equal(out.times, np.unique(acc.times))
         means = [acc.values[acc.times == t].mean(axis=0) for t in out.times]
         assert np.allclose(out.values, means, rtol=1e-12, atol=0.0)
@@ -147,26 +154,28 @@ def _average_by_group_loop(data, predetermined, assign):
 
 
 @pytest.mark.parametrize(
-    "average, assign", [(average_upper, _assign_upper), (average_nearest, _assign_nearest)]
+    "kind, assign", [("average_upper", _assign_upper), ("average_nearest", _assign_nearest)]
 )
-def test_average_matches_a_per_group_loop(average, assign):
+def test_average_matches_a_per_group_loop(kind, assign):
     # two-component values: numpy sums a single column pairwise in ``mean``,
     # so a one-component record would agree only to roundoff
     rng = np.random.default_rng(5)
     sizes = rng.integers(1, 51, 60)
-    predetermined = np.arange(1.0, len(sizes) + 1.0)
+    # potp 1 at period 1 on (0, 60] puts the targets at 1, 2, ..., 60
+    predetermined = default_predetermined((0.0, 60.0), 1.0, 1.0)
+    assert np.array_equal(predetermined, np.arange(1.0, len(sizes) + 1.0))
     times = np.concatenate(
         [np.sort(rng.uniform(j - 1.0, j, n)) for j, n in zip(predetermined, sizes)]
     )
     obs = ObservationModel(h_matrix=np.eye(2), v_matrix=np.eye(2))
     values = rng.standard_normal((len(times), 2)) * rng.uniform(0.1, 100.0, (len(times), 1))
     data = ObservationSet(times=times, values=values, model=obs)
-    out = average(data, predetermined)
+    out = ModificationScheme(kind, 1.0, seed=0).apply(data, (0.0, 60.0), 1.0)
     ref_times, ref_values = _average_by_group_loop(data, predetermined, assign)
     assert np.array_equal(out.times, ref_times)
     assert np.array_equal(out.values, ref_values)
     assert np.array_equal(out.weights, np.ones(len(out)))
-    if average is average_upper:  # the groups are the generated windows
+    if kind == "average_upper":  # the groups are the generated windows
         windows = np.split(values, np.cumsum(sizes)[:-1])
         assert np.array_equal(out.values, [w.mean(axis=0) for w in windows])
 
@@ -176,39 +185,45 @@ def test_average_matches_a_per_group_loop(average, assign):
 # ---------------------------------------------------------------------------
 
 
+def sample(kind, data, potp, seed):
+    """``kind`` at ``potp`` on ``fn_small``'s data: (0, 5] every 0.05."""
+    return ModificationScheme(kind, potp, seed).apply(data, (0.0, 5.0), 0.05)
+
+
 def test_simple_random_full_fraction_is_identity():
     data = toy_data()
-    out = simple_random_sample(data, 1.0, seed=1)
+    out = modify("simple_random", data, 1.0, seed=1)
     assert np.array_equal(out.times, data.times)
     assert np.array_equal(out.values, data.values)
 
 
 def test_simple_random_keeps_round_fraction(fn_small):
     _, data, _ = fn_small
-    out = simple_random_sample(data, 0.1, seed=3)
+    out = sample("simple_random", data, 0.1, seed=3)
     assert len(out) == 10
     assert np.all(np.diff(out.times) > 0)
 
 
 def test_simple_random_same_seed_same_subset(fn_small):
     _, data, _ = fn_small
-    a = simple_random_sample(data, 0.2, seed=9)
-    b = simple_random_sample(data, 0.2, seed=9)
+    a = sample("simple_random", data, 0.2, seed=9)
+    b = sample("simple_random", data, 0.2, seed=9)
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.values, b.values)
 
 
 def test_simple_random_rejects_empty_sample():
     data = toy_data()
+    assert keeps_none("simple_random", 0.01, len(data))
     with pytest.raises(ValueError):
-        simple_random_sample(data, 0.01, seed=0)
+        modify("simple_random", data, 0.01)
 
 
 def test_systematic_offsets_and_stride():
     data = toy_data()
     seen = set()
     for seed in range(40):
-        out = systematic_random_sample(data, 0.2, seed=seed)
+        out = modify("systematic_random", data, 0.2, seed=seed)
         offset = int(out.times[0]) - 1
         seen.add(offset)
         assert np.array_equal(out.times, data.times[offset::5])
@@ -217,7 +232,7 @@ def test_systematic_offsets_and_stride():
 
 def test_systematic_kappa_one_is_identity():
     data = toy_data()
-    out = systematic_random_sample(data, 1.0, seed=5)
+    out = modify("systematic_random", data, 1.0, seed=5)
     assert np.array_equal(out.times, data.times)
 
 
@@ -225,14 +240,25 @@ def test_systematic_high_frequency_count(fn_small):
     # 100 observations at potp 0.01 would need stride 100 > N; use potp 0.1
     _, data, _ = fn_small
     for seed in range(20):
-        out = systematic_random_sample(data, 0.1, seed=seed)
+        out = sample("systematic_random", data, 0.1, seed=seed)
         assert len(out) == 10
 
 
 def test_systematic_rejects_stride_beyond_n():
     data = toy_data()
+    assert keeps_none("systematic_random", 0.01, len(data))
     with pytest.raises(ValueError):
-        systematic_random_sample(data, 0.01, seed=0)
+        modify("systematic_random", data, 0.01)
+
+
+def test_keeps_none_at_the_rounding_edges():
+    # 0.05 * 10 rounds half away to 1, and 1 / 0.0952 to a stride of 11
+    assert not keeps_none("simple_random", 0.05, 10)
+    assert keeps_none("simple_random", 0.0499, 10)
+    assert not keeps_none("systematic_random", 0.1, 10)
+    assert keeps_none("systematic_random", 0.0952, 10)
+    for kind in SCHEME_KINDS[:4]:  # a displacement keeps every observation
+        assert not keeps_none(kind, 0.0001, 10)
 
 
 def test_systematic_count_5000_at_one_percent():
@@ -241,7 +267,7 @@ def test_systematic_count_5000_at_one_percent():
         times=np.arange(1.0, 5001.0), values=np.zeros((5000, 1)), model=obs
     )
     for seed in range(25):
-        out = systematic_random_sample(data, 0.01, seed=seed)
+        out = ModificationScheme("systematic_random", 0.01, seed).apply(data, (0.0, 5000.0), 1.0)
         assert len(out) == 50
 
 
@@ -253,17 +279,15 @@ def test_systematic_count_5000_at_one_percent():
 def test_all_schemes_nondecreasing_times_and_no_growth(fn_small):
     _, data, _ = fn_small
     for kind in SCHEME_KINDS:
-        scheme = ModificationScheme(kind, 0.1, seed=4)
-        out = scheme.apply(data, (0.0, 5.0), 0.05)
+        out = sample(kind, data, 0.1, seed=4)
         assert len(out) <= len(data)
         assert np.all(np.diff(out.times) >= 0)
 
 
 def test_accumulation_never_changes_values(fn_small):
     _, data, _ = fn_small
-    targets = default_predetermined((0.0, 5.0), 0.05, 0.1)
-    for fn in (accumulate_upper, accumulate_nearest):
-        out = fn(data, targets)
+    for kind in ("accumulate_upper", "accumulate_nearest"):
+        out = sample(kind, data, 0.1, seed=0)
         assert np.array_equal(np.sort(out.values, axis=0), np.sort(data.values, axis=0))
 
 
@@ -272,8 +296,7 @@ def test_sampling_hits_target_fraction_within_one(fn_small):
     n_in = len(np.unique(data.times))
     for kind in ("simple_random", "systematic_random"):
         for potp in (0.1, 0.25):
-            scheme = ModificationScheme(kind, potp, seed=8)
-            out = scheme.apply(data, (0.0, 5.0), 0.05)
+            out = sample(kind, data, potp, seed=8)
             n_out = len(np.unique(out.times))
             assert abs(n_out - potp * n_in) <= 1.0
 
@@ -323,3 +346,25 @@ def test_every_scheme_runs_on_the_shipped_fn_data_at_a_fraction_that_does_not_di
             assert np.all(np.isin(out.times, targets)), kind
         if kind.startswith("average"):
             assert len(out) == 62, kind
+
+
+# sha256 over (times, values, weights) of every kind in SCHEME_KINDS order,
+# each at potp 0.01, 0.1 and 0.0123 in turn, on a shipped config's data
+_SCHEME_OUTPUT_DIGESTS = {
+    "fitzhugh_nagumo": "621783cecbad9ace5ab51d20aba9ae0ca9d863741e6a184e80d7a033dd08ac18",
+    "lotka_volterra": "5e756e8a60398bd28e58fb0e5c4b3deeb91cb06cc8f0293b7967cba320366421",
+    "van_der_pol": "d8bb39986e921ebe32067efd30d8b173db6ffdab4edc892c06dc020853c3e656",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCHEME_OUTPUT_DIGESTS))
+def test_every_scheme_output_is_bitwise_pinned_on_the_shipped_configs(name):
+    config = parse_config(REPO_CONFIGS / f"{name}.ini")
+    model, data = build_data(config)
+    digest = hashlib.sha256()
+    for kind in SCHEME_KINDS:
+        for potp in (0.01, 0.1, 0.0123):
+            out = modify_data(config, model, data, kind, potp)
+            for array in (out.times, out.values, out.weights):
+                digest.update(array.tobytes())
+    assert digest.hexdigest() == _SCHEME_OUTPUT_DIGESTS[name]

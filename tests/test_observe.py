@@ -21,7 +21,7 @@ from hfda.integrate import (
     reset_step_count,
     step_count,
 )
-from hfda.modify import accumulate_upper
+from hfda.modify import ModificationScheme
 from hfda.observe import (
     _EXP_M2,
     ObservationModel,
@@ -260,7 +260,7 @@ def test_gradient_forward_equals_adjoint(name):
     short = dataclasses.replace(model, t_span=(model.t_span[0], model.t_span[0] + 4.0))
     data = simulate_observations(short, short.params_ref, identity_observation(2, 0.1), 0.1, seed=7)
     # ten observations share each of the upper times 1.0, 2.0, 3.0 and 4.0
-    accumulated = accumulate_upper(data, np.array([1.0, 2.0, 3.0, 4.0]))
+    accumulated = ModificationScheme("accumulate_upper", 0.1, 0).apply(data, short.t_span, 0.1)
     assert len(accumulated.distinct_times()) == 4 < len(accumulated)
     rng = np.random.default_rng(5)
     for observed in (data, accumulated):
@@ -411,7 +411,8 @@ def _loss_parity_cases(model):
     rng = np.random.default_rng(11)
     data = simulate_observations(model, model.params_ref, identity_observation(2, 0.1), 0.1, seed=7)
     weighted = dataclasses.replace(data, weights=rng.uniform(0.5, 2.0, len(data)))
-    accumulated = accumulate_upper(weighted, np.array([1.0, 2.0, 3.0, 4.0]))
+    # potp 0.1 at period 0.1 puts the upper times at 1.0, 2.0, 3.0 and 4.0
+    accumulated = ModificationScheme("accumulate_upper", 0.1, 0).apply(weighted, model.t_span, 0.1)
     assert len(accumulated.distinct_times()) == 4 < len(accumulated)
     projected = ObservationModel(np.array([[0.7, -0.4]]), np.array([[0.05]]))
     correlated = ObservationModel(np.array([[1.0, 0.3], [-0.2, 0.8]]), np.array([[0.04, 0.01], [0.01, 0.02]]))

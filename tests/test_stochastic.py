@@ -5,7 +5,7 @@ import pytest
 
 from hfda.harness import ExperimentConfig, build_data, build_problem
 from hfda.integrate import integrate_augmented_sensitivity, reset_step_count, step_count
-from hfda.modify import accumulate_upper, default_predetermined
+from hfda.modify import ModificationScheme
 from hfda.observe import gradient
 from hfda.optimize import Problem
 from hfda.stochastic import (
@@ -250,7 +250,7 @@ def test_single_observation_scalar_blocks(fn_small):
 
 def test_residual_rows_on_shared_times_follow_each_observation_node(fn_small):
     model, data, _ = fn_small
-    shared = accumulate_upper(data, default_predetermined(model.t_span, 0.05, 0.1))
+    shared = ModificationScheme("accumulate_upper", 0.1, 0).apply(data, model.t_span, 0.05)
     problem = Problem(model, shared, h=0.25)
     theta = model.theta_ref() * 1.03
     sample = offsets_sample(len(shared), 3, 1)
