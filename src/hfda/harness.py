@@ -159,14 +159,20 @@ def _positive(convert):
     return _checked(convert, lambda v: v > 0, "be positive")
 
 
+def _nonnegative(convert):
+    """``convert`` that also rejects values < 0."""
+    return _checked(convert, lambda v: v >= 0, "be non-negative")
+
+
 def _interval(low: float, high: float):
     """Converter of a float in the half-open interval (low, high]."""
     return _checked(float, lambda v: low < v <= high, f"lie in ({low:g}, {high:g}]")
 
 
 _finite = _checked(float, np.isfinite, "be finite")
-_seed = _checked(int, lambda v: v >= 0, "be a non-negative integer")  # as numpy's SeedSequence
+_seed = _nonnegative(int)  # as numpy's SeedSequence
 _fraction = _interval(0.0, 1.0)
+_fractions = _checked(_tuple_of(_fraction), lambda v: len(set(v)) == len(v), "list each fraction once")
 
 
 def _setting(key: str, convert, default=dataclasses.MISSING):
@@ -204,8 +210,8 @@ class ExperimentConfig:
     solver_sampler: str = _setting("solver.sampler", _choice(SAMPLER_KINDS), "systematic")
     solver_kappa: int | None = _setting("solver.kappa", _positive(_optional(int)), None)
     solver_budget: float = _setting("solver.budget", _finite, 1.0)
-    solver_max_iter: int = _setting("solver.max_iter", int, 0)
-    solver_gtol: float = _setting("solver.gtol", _finite, 0.0)
+    solver_max_iter: int = _setting("solver.max_iter", _nonnegative(int), 0)
+    solver_gtol: float = _setting("solver.gtol", _nonnegative(_finite), 0.0)
     solver_seed: int | None = _setting("solver.seed", _seed, None)
     solver_record_every: int = _setting("solver.record_every", _positive(int), 1)
     theta0_policy: str = _setting("solver.theta0", _choice(THETA0_POLICIES), "perturbed")
@@ -214,15 +220,15 @@ class ExperimentConfig:
     theta0_values: tuple[float, ...] | None = _setting("solver.theta0_values", _tuple_of(_finite), None)
     race_budget: float = _setting("race.budget", _finite, 1.0)
     race_potp: float = _setting("race.potp", _fraction, 0.01)
-    race_max_iter: int = _setting("race.max_iter", int, 0)
+    race_max_iter: int = _setting("race.max_iter", _nonnegative(int), 0)
     race_record_every: int = _setting("race.record_every", _positive(int), 10)
     # relative-error study
-    table1_potps: tuple[float, ...] = _setting("table1.potps", _tuple_of(_fraction), (0.01, 0.1))
+    table1_potps: tuple[float, ...] = _setting("table1.potps", _fractions, (0.01, 0.1))
     table1_max_iter: int = _setting("table1.max_iter", _positive(int), 40)
-    table1_gtol: float = _setting("table1.gtol", _finite, 1e-6)
+    table1_gtol: float = _setting("table1.gtol", _nonnegative(_finite), 1e-6)
     # unmodified-problem reference fit
     ref_max_iter: int = _setting("reference.max_iter", _positive(int), 60)
-    ref_gtol: float = _setting("reference.gtol", _finite, 1e-8)
+    ref_gtol: float = _setting("reference.gtol", _positive(_finite), 1e-8)
 
     def __post_init__(self) -> None:
         if self.model not in MODEL_DEFAULTS:
@@ -343,8 +349,8 @@ def relative_error(objective_fn, theta_mod: Array, theta_nomod: Array) -> float:
 # or the cached payload changes (3: converged fits only, with their
 # termination cause and iteration count; 4: data at a period coarser than
 # h simulated on the step-h grid; 5: Gauss-Newton solves through numpy's
-# Cholesky factor).
-REFERENCE_FORMAT = 5
+# Cholesky factor; 6: noise from the standard library's normal quantile).
+REFERENCE_FORMAT = 6
 
 
 def _reference_key(config: ExperimentConfig) -> str:

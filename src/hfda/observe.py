@@ -5,6 +5,8 @@ noise: y_i = H x(t_i) + eps_i with eps_i ~ N(0, V).  The loss for one
 observation is the corresponding negative log-likelihood up to its additive
 constant, 0.5 * (y - Hx)' V^-1 (y - Hx), and the full objective sums the
 per-observation losses (times their weights) over the whole record.
+Simulated noise is the standard library's normal quantile of seeded
+uniforms (``inverse_cdf_gaussian``).
 
 The gradient of the objective with respect to the augmented initial
 condition is available two ways: by propagating the forward sensitivity
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -38,102 +41,21 @@ Array = np.ndarray
 DERIVATIVE_MODES = ("forward", "adjoint")
 
 
-# Cephes ndtri (S. L. Moshier): rational approximations in y - 1/2 on the
-# centre and in 1/z, z = sqrt(-2 log y), on the tails split at z = 8.
-# Coefficients run from the highest power down; each denominator has an
-# implicit leading 1.
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-_S2PI = 2.50662827463100050242  # sqrt(2 pi)
-_P0 = (
-    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-    1.39312609387279679503e1, -1.23916583867381258016e0,
-)
-_Q0 = (
-    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-    1.59056225126211695515e1, -1.18331621121330003142e0,
-)
-_P1 = (
-    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
-)
-_Q1 = (
-    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
-)
-_P2 = (
-    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
-)
-_Q2 = (
-    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-    2.89247864745380683936e-6, 6.79019408009981274425e-9,
-)
-
-
-def _polevl(x: Array, coef: tuple, monic: bool = False) -> Array:
-    """Horner's rule in the operation order of Cephes polevl/p1evl."""
-    ans = x + coef[0] if monic else np.full_like(x, coef[0])
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _logs(x: Array) -> Array:
-    # the C library's log, element by element: numpy's SIMD log can differ
-    # from it in the last bit, depending on the CPU's vector instructions
-    return np.array([math.log(v) for v in x.tolist()])
-
-
-def ndtri(u: Array) -> Array:
-    """Standard normal quantile of u in (0, 1), elementwise.
-
-    A port of the Cephes algorithm that ``scipy.special.ndtri`` also uses,
-    with its branch points and its operation order, so the two agree
-    bitwise.
-    """
-    u = np.asarray(u, dtype=float)
-    upper = u > 1.0 - _EXP_M2
-    y = np.where(upper, 1.0 - u, u)
-    central = y > _EXP_M2
-    out = np.empty_like(y)
-
-    yc = y[central] - 0.5
-    y2 = yc * yc
-    xc = yc + yc * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0, monic=True))
-    out[central] = xc * _S2PI
-
-    tail = ~central
-    x = np.sqrt(-2.0 * _logs(y[tail]))
-    x0 = x - _logs(x) / x
-    z = 1.0 / x
-    x1 = np.where(
-        x < 8.0,
-        z * _polevl(z, _P1) / _polevl(z, _Q1, monic=True),
-        z * _polevl(z, _P2) / _polevl(z, _Q2, monic=True),
-    )
-    xt = x0 - x1
-    out[tail] = np.where(upper[tail], xt, -xt)
-    return out
-
-
 def inverse_cdf_gaussian(rng: np.random.Generator, shape) -> Array:
     """Standard normal variates via the inverse CDF of uniform draws.
 
     Keeping the transformation explicit (rather than relying on the
     generator's native normal sampler) pins regenerated data to the uniform
     bit stream of the seeded generator.  The quantile function is the
-    in-repo ``ndtri``, so the data depend on numpy's generator and the C
-    library's ``log`` but on no special-function library.
+    standard library's ``NormalDist().inv_cdf``, so the data depend on
+    numpy's generator and the C library's ``log`` but on no special-function
+    library.
     """
     u = rng.random(shape)
-    # rng.random() can return 0.0, whose quantile is -inf
+    # rng.random() can return 0.0, which inv_cdf rejects
     u = np.maximum(u, np.finfo(float).tiny)
-    return ndtri(u)
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([inv_cdf(v) for v in u.ravel().tolist()]).reshape(u.shape)
 
 
 @dataclass(frozen=True)

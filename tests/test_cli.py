@@ -314,6 +314,14 @@ def test_unknown_sampler_exits_before_fitting(tmp_path):
         ("solver", "k0", "0"),
         ("solver", "alpha", "2"),
         ("observation", "period", "60"),
+        # a negative cap or tolerance would mean the same as 0
+        ("solver", "max_iter", "-3"),
+        ("race", "max_iter", "-1"),
+        ("solver", "gtol", "-1"),
+        ("table1", "gtol", "-1"),
+        # a reference fit at gtol 0 cannot converge, so it is never cached
+        ("reference", "gtol", "0"),
+        ("table1", "potps", "0.5, 0.5"),
     ],
 )
 def test_parse_rejects_bad_enumerated_or_nonpositive_value(tmp_path, section, key, value):
@@ -350,11 +358,12 @@ def test_parse_rejects_bad_enumerated_or_nonpositive_value(tmp_path, section, ke
         # NaN budget would never stop the run
         ("solve", ["solver.name=sgd", "solver.seed=-4"], "override key solver.seed"),
         ("solve", ["solver.name=sgd", "solver.budget=nan"], "override key solver.budget"),
+        ("table1", ["reference.gtol=0", "reference.max_iter=3"], "override key reference.gtol"),
     ],
     ids=[
         "record_every", "budget", "race_budget", "theta0_missing", "theta0_count",
         "simple_potp", "systematic_potp", "empty_potps", "table1_potps", "race_potp",
-        "negative_seed", "nan_budget",
+        "negative_seed", "nan_budget", "reference_gtol",
     ],
 )
 def test_a_run_that_cannot_start_fails_before_fitting(command, overrides, named, tmp_path, capsys):

@@ -351,9 +351,9 @@ def test_every_scheme_runs_on_the_shipped_fn_data_at_a_fraction_that_does_not_di
 # sha256 over (times, values, weights) of every kind in SCHEME_KINDS order,
 # each at potp 0.01, 0.1 and 0.0123 in turn, on a shipped config's data
 _SCHEME_OUTPUT_DIGESTS = {
-    "fitzhugh_nagumo": "621783cecbad9ace5ab51d20aba9ae0ca9d863741e6a184e80d7a033dd08ac18",
-    "lotka_volterra": "5e756e8a60398bd28e58fb0e5c4b3deeb91cb06cc8f0293b7967cba320366421",
-    "van_der_pol": "d8bb39986e921ebe32067efd30d8b173db6ffdab4edc892c06dc020853c3e656",
+    "fitzhugh_nagumo": "cae1eb18d0663c0c1a8277c98fa64e52d4aa6c3c92b88c600f2ad30b1232e61c",
+    "lotka_volterra": "fabdb0b5e5ea963aa8ce39b9944ab9047fb741a47ba659fbfdf3099b51f7d3ac",
+    "van_der_pol": "8f7628cc7b73ed363a505ffef5066c879dd989540b95434df6870526f354cf52",
 }
 
 

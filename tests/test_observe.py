@@ -5,6 +5,7 @@ import hashlib
 import shutil
 import tracemalloc
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -23,14 +24,13 @@ from hfda.integrate import (
 )
 from hfda.modify import ModificationScheme
 from hfda.observe import (
-    _EXP_M2,
     ObservationModel,
     ObservationSet,
     _loss_values,
     _weighted_loss_grads,
     gradient,
     identity_observation,
-    ndtri,
+    inverse_cdf_gaussian,
     objective,
     objective_many,
     observations_csv_lines,
@@ -172,35 +172,31 @@ def test_golden_observations_regenerate():
     assert np.allclose(data.values, golden[:, 1:3], rtol=1e-12, atol=1e-14)
 
 
-def test_ndtri_is_bitwise_scipy():
-    """The in-repo quantile gives scipy's bits on the centre, both tails, the
-    z = 8 split, the exp(-2) branch points and the clamp at finfo.tiny."""
-    scipy_special = pytest.importorskip("scipy.special")
-    rng = np.random.default_rng(7)
-    edges = []
-    for b in (_EXP_M2, 1.0 - _EXP_M2):
-        edges.extend(b + np.arange(-8, 9) * np.spacing(b))
-        edges.extend([np.nextafter(b, 0.0), b, np.nextafter(b, 1.0)])
-    u = np.concatenate(
-        [
-            np.maximum(rng.random(100_000), np.finfo(float).tiny),
-            np.logspace(-300, -1, 20_000),
-            1.0 - np.logspace(-16, -1, 20_000),
-            edges,
-            [np.finfo(float).tiny, 0.5, np.nextafter(1.0, 0.0)],
-        ]
-    )
-    ours, theirs = ndtri(u), scipy_special.ndtri(u)
-    assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
-    assert np.any(np.sqrt(-2.0 * np.log(u)) >= 8.0)  # the far tail is covered
+def test_inverse_cdf_gaussian_is_the_standard_library_quantile():
+    """Each variate is NormalDist().inv_cdf of the generator's next uniform,
+    bitwise, in the requested shape."""
+    z = inverse_cdf_gaussian(np.random.default_rng(7), (400, 3))
+    u = np.random.default_rng(7).random((400, 3))
+    assert z.shape == (400, 3)
+    assert np.array_equal(z, [[NormalDist().inv_cdf(v) for v in row] for row in u.tolist()])
+
+
+def test_inverse_cdf_gaussian_clamps_a_zero_uniform():
+    class ZeroUniforms:
+        def random(self, shape):
+            return np.zeros(shape)
+
+    z = inverse_cdf_gaussian(ZeroUniforms(), (2,))
+    assert np.all(np.isfinite(z))
+    assert np.array_equal(z, [NormalDist().inv_cdf(np.finfo(float).tiny)] * 2)
 
 
 # sha256 of the observation values ``build_data`` gave at seed 1234 with
-# scipy.special.ndtri as the quantile function
+# NormalDist().inv_cdf as the quantile function
 SEED_1234_DATA_SHA256 = {
-    "fitzhugh_nagumo": "4e6b991f9500d15cbabc9a603bf3a48575c7c641325d5c13062dce8ae43ad6ea",
-    "lotka_volterra": "4691583b28cf41d18d8b14f940022f25775fc6f1c455c8e0343efb7945e28a64",
-    "van_der_pol": "9bd0bff921c8c62a73e2d1c6fa1002516f1557d2fb0ddb4cbf3ca5cb48f9f1f2",
+    "fitzhugh_nagumo": "ab65c654059ae55e2c46fef803102fd7ac0d2f280a2a96786d1b1a8d9e719f9a",
+    "lotka_volterra": "ea345f29a1d88a95b3580414c3e6ba55c8a8322c360fffe953aadb9439c62045",
+    "van_der_pol": "615cd8970435535e2dd7627d9b0e8584c4870283f417d15e82979e4ad187534a",
 }
 
 
@@ -474,15 +470,17 @@ def test_loss_terms_reject_an_operator_of_the_wrong_width():
 # sha256 of ``objective_many`` at the seed-1234 data of each shipped config,
 # at K rows theta_ref * (1 + 0.05 z) with z drawn by default_rng(1234).  The
 # K=1 entries were captured while the terms were still computed from the
-# whole batched trajectory with matrix products; the K=52 entries since each
-# column is summed on its own, as ``objective`` sums its terms
+# whole batched trajectory with matrix products, and the noise from
+# NormalDist().inv_cdf left them as they were; the K=52 entries were derived
+# from that noise, with each column summed on its own as ``objective`` sums
+# its terms
 SEED_1234_OBJECTIVE_MANY_SHA256 = {
     ("fitzhugh_nagumo", 1): "2cd6642a36218222710c01792df09d8760b59af88f2891cc52541387a079c5e5",
-    ("fitzhugh_nagumo", 52): "2eb694a2af1ac2b8a9e77b92e8037898fc612d4d3e791a72f2dfc7d0c7adca5c",
+    ("fitzhugh_nagumo", 52): "4a50da20cbf6d81f5a4232b52b5da80c00d8584b6b5495e5f1ed4f8ca68ecca6",
     ("lotka_volterra", 1): "f16ff660989116d55987d68e2ced7280ea842c2b01286721c66f79801f3feb48",
-    ("lotka_volterra", 52): "8ffe95c0cbba4749c192ad5158254f40892fc928f0c422fd8efa2d533615e3ef",
+    ("lotka_volterra", 52): "9ff83cb053364cf8e8d977dd9e742b8220d22d2c05c2dcc4a1f93b309659e8f4",
     ("van_der_pol", 1): "8b5431cd1a0512d215d707a744ff8c5e828ded4d368619ebbe64c1b91fe4e89f",
-    ("van_der_pol", 52): "441194b9d77800b536ce835e13ab05142fe69aa274c9bddbdb12314e9534ec42",
+    ("van_der_pol", 52): "eb1afe4ceeb3db383990c93ffba351c30aca8a8b9f180d59ad4e78e9d7fd92e3",
 }
 
 
@@ -505,24 +503,26 @@ def test_objective_many_is_bitwise_unchanged(name, sweep_paths):
 
 # sha256 of the forward-mode derivatives at theta_ref on the seed-1234 data
 # of each shipped config: ``gradient(...).grad``, then the residual system's
-# r and d_matrix (C order), captured while the tangent was still recorded
-# only at requested nodes.  The tangent's matrix products run in BLAS, so
-# grad and d_matrix hold these bits under the OpenBLAS Haswell kernel and
-# change under another (OPENBLAS_CORETYPE=Prescott; ROADMAP item 4)
+# r and d_matrix (C order).  d_matrix was captured while the tangent was
+# still recorded only at requested nodes and does not depend on the data;
+# grad and r were derived from the noise of NormalDist().inv_cdf.  The
+# tangent's matrix products run in BLAS, so grad and d_matrix hold these
+# bits under the OpenBLAS Haswell kernel and change under another
+# (OPENBLAS_CORETYPE=Prescott; ROADMAP item 4)
 SEED_1234_FORWARD_SHA256 = {
     "fitzhugh_nagumo": (
-        "76568cbc64268c79c06e2f0ad0a8669c591e0d65b486802bb4275ce2de56f51f",
-        "fec5cd5c2576492b102de993a50cc269774e7926bf212516b21d0f45c13682a8",
+        "8eff8bda2481c613846afde0085eb6ab00192957a00fdddccdded281bf8e771a",
+        "14af85e2a10d75d59e7592572e596ac3e78939c7cd4c1682b4094db13c37b150",
         "2e8e12e125b409ce5e65b5cb4bead7131ba108e1ab2e71f4b3766ae264ea006d",
     ),
     "lotka_volterra": (
-        "77999dd04dec8f17b30328cc7693cbbe37fa60225511e665cb5e47bc3f50811c",
-        "579d45ed925a182e13e2a0cce0a5c9b81c5d9c3ec1637ff50391a107051ab82d",
+        "a3b5c415466270cbd81d9a634aa63117f14d70fc901f0a12a09a8ad8d12b881b",
+        "fc7cc0dabc2bb99b4fd611f5ce19ffbd7e582fd220e9f6ae643ffa8d7adda3e8",
         "58f44144b7a0dc9fd5cda5b4e116682553a27a357a18ff23bc4d762e46c1afed",
     ),
     "van_der_pol": (
-        "9897e8514b891076f706e3a434bd88e166d3d2108c41c65e0fb31c7d05730f8c",
-        "0285f17b2c3d8c403969983f72f78e7d46cddf243b859061b209b2d415da5aa7",
+        "83827673a0e73890bb4f8709b2640d69d36eca021dba15fd053f99640290fceb",
+        "88b62cfd04819dd45a3a1ba330cbaff4c1d407bffc6d95f9416085371e08ff36",
         "8a9806f747c82a5a3a2b6925c997114820b3f41ef070111e48acb4d2116b59fa",
     ),
 }
